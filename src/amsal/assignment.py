@@ -3,12 +3,22 @@
 The optimization is: choose pi maximizing sum_i s[i, pi(i)] subject to
 per-record count bounds lower[j] <= #{i: pi(i) = j} <= upper[j]. The
 constraint matrix of this program is totally unimodular, so the integer
-optimum coincides with the LP optimum and can be found by a matching
-solver instead of a general ILP. We reduce to a rectangular assignment
-problem by expanding record j into upper[j] unit slots, the first
-lower[j] of which may not be taken by dummy rows, and then refine any
-optimal solution to the lexicographically smallest optimal map so
-results are reproducible across solver versions and platforms.
+optimum coincides with the LP optimum and can be found by network-flow
+reasoning instead of a general ILP. Both phases of the solver work on
+the condensed residual graph: one node per record (plus a slack node for
+the bounds), where arc u -> v carries the best gain of moving a single
+input from record u to record v.
+
+1. `_initial_optimum` starts from the row-wise argmax, which is optimal
+   without bounds, and repairs the bounds by shifting one unit of count
+   at a time along the best chain of moves between two records
+   (successive shortest paths; Ahuja, Magnanti & Orlin, Network Flows,
+   1993, ch. 9).
+2. `_lex_refine` rewrites that optimum into the lexicographically
+   smallest optimal map, so results do not depend on how the optimum was
+   reached. Dual potentials of the optimum screen the inputs: only an
+   input with an equally good alternative in a smaller record gets a path
+   search.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
 optimality reasoning below is exact integer arithmetic on those costs.
@@ -16,13 +26,13 @@ optimality reasoning below is exact integer arithmetic on those costs.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .errors import InfeasibleBounds, InvalidInput, TooLarge
+from .errors import AmsalError, InfeasibleBounds, InvalidInput, TooLarge
 from .linalg import as_matrix
 
 _SCALE = float(2**32)
@@ -135,7 +145,7 @@ def solve_assignment(s, records):
     """Exact bounded assignment maximizing the score sum.
 
     Returns the lexicographically smallest map among all optima, which
-    pins down tie behavior independently of the underlying LAP solver.
+    pins down tie behavior independently of how the optimum was reached.
     """
     s = as_matrix(s, "s")
     n, m = s.shape
@@ -145,35 +155,118 @@ def solve_assignment(s, records):
     c = _integer_costs(s)
     pi = _initial_optimum(c, records.lower_bounds, records.upper_bounds)
     pi = _lex_refine(c, records.lower_bounds, records.upper_bounds, pi)
-    out = Assignment(pi)
-    assert out.satisfies(records)
-    return out
+    return _checked_assignment(pi, records)
 
 
-def _initial_optimum(c, lower, upper, forced=None):
-    """One optimal map via slot expansion and a rectangular LAP solve.
+def _checked_assignment(pi, records):
+    """Wrap pi as an Assignment, raising AmsalError if a count leaves its bounds."""
+    counts = np.bincount(pi, minlength=records.m)
+    lower, upper = records.lower_bounds, records.upper_bounds
+    bad = np.flatnonzero((counts < lower) | (counts > upper))
+    if bad.size:
+        j = int(bad[0])
+        raise AmsalError(
+            f"record {j}: solver assigned {counts[j]} inputs, outside [{lower[j]}, {upper[j]}]"
+        )
+    return Assignment(pi)
 
-    Record j contributes min(upper[j], n) unit slots; the first lower[j]
-    slots are mandatory. Dummy rows absorb the surplus slots but are
-    barred from mandatory ones, which enforces the lower bounds.
+
+class _MoveGains:
+    """Best gain c[i, v] - c[i, u] over the inputs i currently in record u.
+
+    For each pair (u, v), inputs that started in u are read from one static
+    order sorted by decreasing gain, and inputs that moved into u later from
+    a max-heap. Entries of inputs that have since left u are skipped lazily,
+    so moving an input costs O(m log n) and reading a pair O(1) amortized.
     """
-    n, m = c.shape
-    if n >= 2**19:
-        raise InvalidInput("assignment instance too large for exact integer costs")
-    upper_eff = np.minimum(upper, n)
-    slots_owner = np.repeat(np.arange(m), upper_eff)
-    mandatory = np.concatenate(
-        [np.arange(u) < l for l, u in zip(lower, upper_eff)]
-    ) if m else np.zeros(0, bool)
-    total = slots_owner.shape[0]
-    forbid = float((n + 2) * 2**33)
-    cost = np.zeros((total, total), dtype=np.float64)
-    cost[:n, :] = -c[:, slots_owner]
-    cost[n:, mandatory] = forbid
-    row, col = linear_sum_assignment(cost)
-    pi = np.empty(n, dtype=np.int64)
-    pi[row[:n]] = slots_owner[col[:n]]
-    return pi
+
+    def __init__(self, c, pi):
+        self.c = c
+        self.pi = pi
+        m = c.shape[1]
+        self.static = {}
+        self.heaps = {}
+        for u in range(m):
+            rows = np.flatnonzero(pi == u)
+            gains = c[rows] - c[rows, u][:, None]
+            for v in range(m):
+                if v != u:
+                    order = np.argsort(-gains[:, v], kind="stable")
+                    self.static[u, v] = [rows[order], gains[order, v], 0]
+                    self.heaps[u, v] = []
+
+    def best(self, u, v):
+        """(gain, input) of the best move out of u into v, or (None, -1) if u is empty."""
+        pi = self.pi
+        entry = self.static[u, v]
+        rows, gains, pos = entry
+        while pos < rows.size and pi[rows[pos]] != u:
+            pos += 1
+        entry[2] = pos
+        heap = self.heaps[u, v]
+        while heap and pi[heap[0][1]] != u:
+            heapq.heappop(heap)
+        if pos < rows.size and (not heap or gains[pos] >= -heap[0][0]):
+            return int(gains[pos]), int(rows[pos])
+        if heap:
+            return -heap[0][0], heap[0][1]
+        return None, -1
+
+    def move(self, i, v):
+        """Reassign input i to record v."""
+        self.pi[i] = v
+        row = self.c[i].tolist()
+        for w in range(len(row)):
+            if w != v:
+                heapq.heappush(self.heaps[v, w], (row[v] - row[w], i))
+
+
+def _initial_optimum(c, lower, upper):
+    """One optimal map: the row-wise argmax, then bound repair on the record graph.
+
+    Each step shifts one unit of count from record a to record b along the
+    best a -> b chain of single-input moves. It picks the transfer that
+    most reduces the total bound violation and, among those, the one with
+    the largest gain; it stops when no transfer lowers the violation and
+    none keeps it level with a positive gain. This is cycle cancelling
+    with convex penalties, so the result is optimal. Augmenting along best
+    paths keeps the record graph free of positive cycles, which makes the
+    path gains well defined at every step.
+    """
+    m = c.shape[1]
+    pi = c.argmax(axis=1)
+    counts = np.bincount(pi, minlength=m).tolist()
+    lower = lower.tolist()
+    upper = upper.tolist()
+    gains = _MoveGains(c, pi)
+    W = [[None] * m for _ in range(m)]
+    witness = [[-1] * m for _ in range(m)]
+    stale = range(m)
+    while True:
+        for u in stale:
+            for v in range(m):
+                if v != u:
+                    W[u][v], witness[u][v] = gains.best(u, v)
+        D, via = _best_paths(W)
+        best = None
+        for a in range(m):
+            out = (counts[a] <= lower[a]) - (counts[a] > upper[a])
+            for b in range(m):
+                if b == a or D[a][b] is None:
+                    continue
+                into = (counts[b] >= upper[b]) - (counts[b] < lower[b])
+                key = (out + into, -D[a][b])
+                if best is None or key < best[0]:
+                    best = (key, a, b)
+        if best is None or best[0] >= (0, 0):
+            return pi
+        _, a, b = best
+        seq = _simple_path(via, a, b)
+        for u, v in zip(seq, seq[1:]):
+            gains.move(witness[u][v], v)
+        counts[a] -= 1
+        counts[b] += 1
+        stale = seq  # only records on the path changed members
 
 
 def _condensed_graph(c, lower, upper, pi, counts, frozen):
@@ -262,15 +355,31 @@ def _lex_refine(c, lower, upper, pi):
     a smaller group b exactly when the move plus the cheapest rebalancing
     chain from b back to a has zero total gain; optimality of the current
     map guarantees the total can never be positive.
+
+    Potentials phi (longest paths from a virtual root in the residual
+    graph of the optimum) are optimal duals, and every optimal map uses
+    only tight edges: c[i, j] - phi[j] maximal over j. An input already in
+    its smallest tight record cannot move, so only the others get path work.
     """
     n, m = c.shape
     pi = pi.copy()
     frozen = np.zeros(n, dtype=bool)
-    for i in range(n):
-        frozen[i] = True
+    W, _ = _condensed_graph(c, lower, upper, pi, np.bincount(pi, minlength=m), frozen)
+    D, _ = _best_paths(W)
+    phi = np.array(
+        [max(D[u][v] for u in range(m + 1) if D[u][v] is not None) for v in range(m)],
+        dtype=np.int64,
+    )
+    reduced = c - phi
+    first_tight = (reduced == reduced.max(axis=1, keepdims=True)).argmax(axis=1)
+    i = -1
+    while True:
+        rest = np.flatnonzero(pi[i + 1 :] != first_tight[i + 1 :])
+        if not rest.size:
+            return pi
+        i += 1 + int(rest[0])
+        frozen[: i + 1] = True
         a = int(pi[i])
-        if a == 0:
-            continue
         counts = np.bincount(pi, minlength=m)
         W, witness = _condensed_graph(c, lower, upper, pi, counts, frozen)
         D, via = _best_paths(W)
@@ -285,7 +394,6 @@ def _lex_refine(c, lower, upper, pi):
                         pi[witness[u][v]] = v
                 pi[i] = b
                 break
-    return pi
 
 
 def brute_force_assignment(s, records):
@@ -332,8 +440,9 @@ def brute_force_assignment(s, records):
             counts[j] -= 1
 
     recurse(0, 0)
-    assert best is not None
-    return Assignment(best)
+    if best is None:
+        raise AmsalError("exhaustive search found no map within the count bounds")
+    return _checked_assignment(best, records)
 
 
 def bounds_from_priors(priors, n, slack):

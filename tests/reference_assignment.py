@@ -1,0 +1,73 @@
+"""Reference bounded-assignment solver for the tests.
+
+One optimal map comes from a rectangular LAP (scipy) on a dense
+slot-expanded cost matrix, and the unscreened lexicographic refine then
+runs the path test for every input. It is slow, but it reaches the
+lexicographically smallest optimum by a route independent of the
+library's argmax-and-repair phase and dual screen, and that optimum is
+unique, so `solve_assignment` must return exactly the same map.
+"""
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from amsal.assignment import _best_paths, _condensed_graph, _integer_costs, _simple_path
+from amsal.linalg import as_matrix
+
+
+def reference_assignment(s, records):
+    """The lexicographically smallest optimal map, as an int64 array."""
+    s = as_matrix(s, "s")
+    records.check_feasible(s.shape[0])
+    c = _integer_costs(s)
+    pi = lap_optimum(c, records.lower_bounds, records.upper_bounds)
+    return unscreened_lex_refine(c, records.lower_bounds, records.upper_bounds, pi)
+
+
+def lap_optimum(c, lower, upper):
+    """One optimal map via slot expansion and a rectangular LAP solve.
+
+    Record j contributes min(upper[j], n) unit slots; the first lower[j]
+    slots are mandatory. Dummy rows absorb the surplus slots but are
+    barred from mandatory ones, which enforces the lower bounds.
+    """
+    n, m = c.shape
+    upper_eff = np.minimum(upper, n)
+    slots_owner = np.repeat(np.arange(m), upper_eff)
+    mandatory = np.concatenate([np.arange(u) < l for l, u in zip(lower, upper_eff)])
+    total = slots_owner.shape[0]
+    forbid = float((n + 2) * 2**33)
+    cost = np.zeros((total, total), dtype=np.float64)
+    cost[:n, :] = -c[:, slots_owner]
+    cost[n:, mandatory] = forbid
+    row, col = linear_sum_assignment(cost)
+    pi = np.empty(n, dtype=np.int64)
+    pi[row[:n]] = slots_owner[col[:n]]
+    return pi
+
+
+def unscreened_lex_refine(c, lower, upper, pi):
+    """Fix inputs in index order, each in the smallest group an optimum allows."""
+    n, m = c.shape
+    pi = pi.copy()
+    frozen = np.zeros(n, dtype=bool)
+    for i in range(n):
+        frozen[i] = True
+        a = int(pi[i])
+        if a == 0:
+            continue
+        counts = np.bincount(pi, minlength=m)
+        W, witness = _condensed_graph(c, lower, upper, pi, counts, frozen)
+        D, via = _best_paths(W)
+        base = int(c[i, a])
+        for b in range(a):
+            if D[b][a] is None:
+                continue
+            if int(c[i, b]) - base + D[b][a] == 0:
+                seq = _simple_path(via, b, a)
+                for u, v in zip(seq, seq[1:]):
+                    if u < m and v < m:
+                        pi[witness[u][v]] = v
+                pi[i] = b
+                break
+    return pi

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from reference_assignment import reference_assignment
 
+import amsal.assignment
 from amsal import (
+    AmsalError,
     GuardedRecords,
     InfeasibleBounds,
     InvalidInput,
@@ -80,6 +85,115 @@ def test_matches_brute_force_under_ties():
         a = solve_assignment(s, records)
         b = brute_force_assignment(s, records)
         np.testing.assert_array_equal(a.map, b.map)
+
+
+@st.composite
+def _tiny_tied_instances(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    palette = draw(st.sampled_from([(0.0,), (-1.0, 0.0, 1.0), (-3.0, 0.0, 0.5, 2.0)]))
+    s = np.array(draw(st.lists(st.sampled_from(palette), min_size=n * m, max_size=n * m)))
+    s = s.reshape(n, m)
+    if draw(st.booleans()):
+        s = np.repeat(s[:, :1], m, axis=1)  # every record scores the same per input
+    lower = draw(st.lists(st.integers(0, n // m + 1), min_size=m, max_size=m))
+    extra = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    upper = [lo + e for lo, e in zip(lower, extra)]
+    assume(sum(lower) <= n <= sum(min(u, n) for u in upper))
+    return s, GuardedRecords(np.arange(2.0 * m).reshape(m, 2), lower, upper)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tiny_tied_instances())
+def test_matches_brute_force_property(instance):
+    s, records = instance
+    a = solve_assignment(s, records)
+    b = brute_force_assignment(s, records)
+    np.testing.assert_array_equal(a.map, b.map)
+
+
+def _corpus(rng):
+    """Instances with n < 61 and m < 9 over every score and bound regime."""
+    kinds = ("continuous", "rounded", "zero", "row-constant")
+    for trial in range(240):
+        n = int(rng.integers(1, 61))
+        m = int(rng.integers(1, 9))
+        if trial % 3 == 0:
+            lower = upper = np.bincount(rng.integers(0, m, size=n), minlength=m)
+        else:
+            while True:
+                lower = rng.integers(0, n // m + 2, size=m)
+                upper = lower + rng.integers(0, n // 2 + 1, size=m)
+                if lower.sum() <= n <= np.minimum(upper, n).sum():
+                    break
+        kind = kinds[trial % len(kinds)]
+        s = rng.standard_normal((n, m))
+        if kind == "rounded":
+            s = np.rint(s)
+        elif kind == "zero":
+            s = np.zeros((n, m))
+        elif kind == "row-constant":
+            s = np.repeat(s[:, :1], m, axis=1)
+        yield s, _records(m, lower, upper, seed=trial)
+
+
+def test_matches_reference_solver_corpus():
+    for s, records in _corpus(np.random.default_rng(13)):
+        np.testing.assert_array_equal(
+            solve_assignment(s, records).map, reference_assignment(s, records)
+        )
+
+
+def _m2_oracle(c, lower, upper):
+    """Closed form for two records: the top k* inputs by c[:, 1] - c[:, 0] go to record 1.
+
+    k* is the number of positive differences clipped to the feasible range;
+    ties at the boundary go to larger indices, which keeps the map
+    lexicographically smallest.
+    """
+    n = c.shape[0]
+    d = c[:, 1] - c[:, 0]
+    k_low = max(lower[1], n - upper[0])
+    k_high = min(upper[1], n - lower[0])
+    k = min(max(int(np.count_nonzero(d > 0)), k_low), k_high)
+    order = np.lexsort((-np.arange(n), -d))
+    pi = np.zeros(n, dtype=np.int64)
+    pi[order[:k]] = 1
+    return pi
+
+
+@pytest.mark.parametrize(
+    "bias, low, high",
+    [(0.0, 950, 1050), (1.0, 950, 1050), (0.0, 700, 1300)],
+    ids=["clipped-up", "clipped-down", "inside-with-zero-gains"],
+)
+def test_two_records_match_closed_form_with_ties(bias, low, high):
+    rng = np.random.default_rng(14)
+    n = 2000
+    s = np.rint(2.0 * rng.standard_normal((n, 2)))  # ~250 inputs share each difference
+    s[:, 1] += bias
+    records = _records(2, [low, low], [high, high])
+    c = amsal.assignment._integer_costs(s)
+    expected = _m2_oracle(c, records.lower_bounds, records.upper_bounds)
+    np.testing.assert_array_equal(solve_assignment(s, records).map, expected)
+
+
+def test_two_records_beyond_former_size_cap():
+    rng = np.random.default_rng(15)
+    n = 2**19 + 1
+    s = rng.standard_normal((n, 2))
+    s[:, 1] += 0.2  # argmax puts ~56% in record 1, above its upper bound
+    lower, upper = bounds_from_priors([0.5, 0.5], n, 0.05)
+    records = _records(2, lower, upper)
+    c = amsal.assignment._integer_costs(s)
+    expected = _m2_oracle(c, records.lower_bounds, records.upper_bounds)
+    np.testing.assert_array_equal(solve_assignment(s, records).map, expected)
+
+
+def test_out_of_bounds_solver_output_raises(monkeypatch):
+    monkeypatch.setattr(amsal.assignment, "_lex_refine", lambda c, lower, upper, pi: 0 * pi)
+    with pytest.raises(AmsalError, match=r"record 0: solver assigned 4 inputs, outside \[1, 3\]"):
+        solve_assignment(np.zeros((4, 2)), _records(2, [1, 1], [3, 3]))
 
 
 def test_row_shift_leaves_argmax():
