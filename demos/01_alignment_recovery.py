@@ -25,7 +25,7 @@ def main():
     print(f"planted dataset: n={data.n}, d={spec.d}, {records.m} unique records")
     print(f"record count bounds: lower={records.lower_bounds}, upper={records.upper_bounds}")
 
-    cfg = AmsalConfig(max_iterations=100, num_seeds=3, slack=0.2, rng_seed=0)
+    cfg = AmsalConfig(max_iterations=100, num_seeds=3, rng_seed=0)
     result = run_amsal(data.x, records, cfg, truth=truth)
 
     print("\nper-iteration trace (objective is the projected agreement sum):")

@@ -19,7 +19,6 @@ from .driver import (
     kmeans_assign,
     random_feasible_assignment,
     run_amsal,
-    select_model,
 )
 from .errors import (
     AmsalError,
@@ -34,7 +33,6 @@ from .linalg import (
     center_columns,
     cross_covariance,
     frobenius_norm,
-    numerical_rank,
     singular_value_sum,
     spectral_norm,
     svd,

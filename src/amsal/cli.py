@@ -3,44 +3,23 @@
 Subcommands: synth (emit a planted dataset), align (recover an
 assignment), erase (fit and apply a removal operator), eval (score
 predictions) and pipeline (align -> erase -> eval from a config file).
-The CLI is a thin shell; every result is reproducible through library
-calls alone. AMSAL_THREADS, when set, caps the parallelism the library
-may use internally (0 means automatic); the reference implementation
-runs each stage sequentially, which trivially respects any cap.
+The CLI is a thin shell: align, erase and eval turn their arguments
+into calls of the stage functions in amsal.io that the pipeline also
+uses, so every result is reproducible through library calls alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import io as aio
-from .assignment import GuardedRecords, bounds_from_priors
-from .driver import AmsalConfig, alignment_accuracy, run_amsal
-from .errors import AmsalError, InvalidInput
-from .metrics import EvalReport, accuracy, f1_macro, mae, mae_gap, tpr_gap_rms
-from .removal import apply_eraser, fit_inlp, fit_sal
+from .driver import AmsalConfig, alignment_accuracy
+from .errors import AmsalError
 from .synthetic import LatentSpec, as_records, generate_latent
-
-
-def thread_cap():
-    """Parsed AMSAL_THREADS value; 0 (automatic) when unset."""
-    raw = os.environ.get("AMSAL_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidInput(f"AMSAL_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise InvalidInput(f"AMSAL_THREADS must be non-negative, got {cap}")
-    return cap
-
-
-def _ext(fmt):
-    return "csv" if fmt == "csv" else "bin"
 
 
 def _cmd_synth(args):
@@ -59,11 +38,11 @@ def _cmd_synth(args):
     data = generate_latent(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ext = _ext(args.format)
-    aio.save_matrix(data.x, out / f"x.{ext}", fmt=args.format)
-    aio.save_matrix(data.z, out / f"z_samples.{ext}", fmt=args.format)
+    ext = args.format
+    aio.save_matrix(data.x, out / f"x.{ext}", fmt=ext)
+    aio.save_matrix(data.z, out / f"z_samples.{ext}", fmt=ext)
     records, truth = as_records(data, slack=args.slack)
-    aio.save_matrix(records.z, out / f"z_records.{ext}", fmt=args.format)
+    aio.save_matrix(records.z, out / f"z_records.{ext}", fmt=ext)
     aio.save_assignment(truth, out / "truth.csv")
     with open(out / "states.csv", "w") as fh:
         for h in data.states:
@@ -75,35 +54,24 @@ def _cmd_synth(args):
     return 0
 
 
-def _records_from_args(args, n, z):
-    if args.priors:
-        priors = np.asarray(args.priors, dtype=np.float64)
-    else:
-        priors = np.full(z.shape[0], 1.0 / z.shape[0])
-    lower, upper = bounds_from_priors(priors, n, args.slack)
-    return GuardedRecords(z, lower, upper)
+def _records(args, n):
+    return aio.guarded_records(aio.load_matrix(args.records), n, args.priors, args.slack)
 
 
 def _cmd_align(args):
     x = aio.load_matrix(args.x)
-    z = aio.load_matrix(args.records)
-    records = _records_from_args(args, x.shape[0], z)
+    records = _records(args, x.shape[0])
     truth = aio.load_assignment(args.truth) if args.truth else None
     seed_labels = aio.load_seed_labels(args.labels) if args.labels else None
     cfg = AmsalConfig(
         max_iterations=args.iterations,
         num_seeds=args.seeds,
-        slack=args.slack,
-        score_k=args.k if args.k else "full",
+        score_k="full" if args.k is None else args.k,
         selection="partial" if seed_labels is not None else "unsupervised",
         seed_labels=seed_labels,
         rng_seed=args.rng_seed,
     )
-    result = run_amsal(x, records, cfg, truth=truth)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    aio.save_assignment(result.assignment, out / "assignment.csv")
-    aio.save_trace(result.trace, out / "trace.csv")
+    result = aio.align(x, records, cfg, args.out, truth)
     print(f"objective = {result.objective!r} (seed {result.seed})")
     if truth is not None:
         print(f"alignment_accuracy = {alignment_accuracy(result.assignment, truth)!r}")
@@ -113,39 +81,17 @@ def _cmd_align(args):
 def _cmd_erase(args):
     x = aio.load_matrix(args.x)
     pi = aio.load_assignment(args.assignment)
-    if args.method == "sal":
-        z = aio.load_matrix(args.records)
-        records = _records_from_args(args, x.shape[0], z)
-        rank = "auto" if args.rank == "auto" else int(args.rank)
-        eraser = fit_sal(x, records, pi, rank)
-    else:
-        eraser = fit_inlp(x, pi.map, args.max_rounds)
-    erased = apply_eraser(eraser, x)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    aio.save_eraser(eraser, out / "eraser.bin")
-    ext = _ext(args.format)
-    aio.save_matrix(erased, out / f"x_erased.{ext}", fmt=args.format)
-    print(f"erased matrix written to {out / f'x_erased.{ext}'}")
+    records = _records(args, x.shape[0]) if args.method == "sal" and args.records else None
+    aio.erase(x, pi, args.method, args.out, args.format,
+              records=records, rank=args.rank, max_rounds=args.max_rounds)
+    print(f"erased matrix written to {Path(args.out) / f'x_erased.{args.format}'}")
     return 0
 
 
 def _cmd_eval(args):
+    load = aio.load_labels if args.task == "classification" else aio.load_values
     z = aio.load_labels(args.z)
-    if args.task == "classification":
-        y_true = aio.load_labels(args.y_true)
-        y_pred = aio.load_labels(args.y_pred)
-        gap = tpr_gap_rms(y_true, y_pred, z) if np.unique(z).size == 2 else None
-        report = EvalReport(
-            task_accuracy=accuracy(y_true, y_pred),
-            f1_macro=f1_macro(y_true, y_pred),
-            tpr_gap_rms=gap,
-        )
-    else:
-        y_true = aio.load_values(args.y_true)
-        y_pred = aio.load_values(args.y_pred)
-        errs = np.abs(y_true - y_pred)
-        report = EvalReport(mae=mae(y_true, y_pred), mae_gap=mae_gap(errs, z))
+    report = aio.evaluate(args.task, load(args.y_true), load(args.y_pred), z)
     text = aio.format_report(report)
     if args.out:
         Path(args.out).write_text(text)
@@ -158,6 +104,10 @@ def _cmd_pipeline(args):
     report = aio.run_pipeline(cfg)
     print(aio.format_report(report), end="")
     return 0
+
+
+def _rank(value):
+    return value if value == "auto" else int(value)
 
 
 def _add_bounds_args(p):
@@ -210,7 +160,7 @@ def build_parser():
     p.add_argument("--method", choices=("sal", "inlp"), default="sal")
     p.add_argument("--records", default=None, help="required for sal")
     _add_bounds_args(p)
-    p.add_argument("--rank", default="auto", help="directions to drop (sal)")
+    p.add_argument("--rank", type=_rank, default="auto", help="directions to drop (sal)")
     p.add_argument("--max-rounds", type=int, default=10, help="probe rounds (inlp)")
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
     p.add_argument("--out", required=True)
@@ -234,9 +184,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
-        if args.command == "erase" and args.method == "sal" and not args.records:
-            raise InvalidInput("erase --method sal requires --records")
         return args.func(args)
     except AmsalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

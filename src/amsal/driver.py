@@ -31,7 +31,8 @@ SELECTION_MODES = ("unsupervised", "partial")
 @dataclass(frozen=True)
 class AmsalConfig:
     """Run parameters; the defaults mirror the evaluation protocol defaults
-    (three random starts, at most a hundred iterations, 20% prior slack).
+    (three random starts, at most a hundred iterations). The count bounds,
+    and with them the prior slack, come with the GuardedRecords.
 
     seed_labels, used only by partial selection, is a pair of index and
     record-id arrays giving the known alignment of a few inputs.
@@ -39,7 +40,6 @@ class AmsalConfig:
 
     max_iterations: int = 100
     num_seeds: int = 3
-    slack: float = 0.2
     score_k: int | str = "full"
     selection: str = "unsupervised"
     seed_labels: tuple | None = None
@@ -50,8 +50,6 @@ class AmsalConfig:
             raise InvalidInput("max_iterations must be at least 1")
         if self.num_seeds < 1:
             raise InvalidInput("num_seeds must be at least 1")
-        if not 0.0 <= self.slack < 1.0:
-            raise InvalidInput(f"slack must be in [0, 1), got {self.slack}")
         if self.selection not in SELECTION_MODES:
             raise InvalidInput(f"selection must be one of {SELECTION_MODES}")
         if self.selection == "partial" and self.seed_labels is None:
@@ -147,6 +145,9 @@ def run_amsal(x, records, cfg, truth=None):
     x = as_matrix(x, "x")
     n = x.shape[0]
     records.check_feasible(n)
+    seed_labels = None
+    if cfg.selection == "partial":
+        seed_labels = _checked_seed_labels(cfg.seed_labels, n, records.m)
     x_c, _ = center_columns(x)
     z_c, _ = center_columns(records.z)
     centered = GuardedRecords(z_c, records.lower_bounds, records.upper_bounds)
@@ -165,7 +166,7 @@ def run_amsal(x, records, cfg, truth=None):
                 break
             pi = new_pi
 
-    best = _pick_candidate(candidates, cfg.selection, cfg.seed_labels)
+    best = _pick_candidate(candidates, cfg.selection, seed_labels)
     seed_idx, _, objective, pi = best
     projection = svd(cross_covariance(x_c, z_c, pi))
     return AmsalResult(
@@ -177,44 +178,36 @@ def run_amsal(x, records, cfg, truth=None):
     )
 
 
-def _label_accuracy(pi, seed_labels):
-    idx, values = seed_labels
-    idx = np.asarray(idx, dtype=np.int64)
-    values = np.asarray(values, dtype=np.int64)
-    if idx.size < 1 or idx.size != values.size:
-        raise InvalidInput("partial selection needs matching label indices and values")
-    return float(np.mean(pi.map[idx] == values))
+def _checked_seed_labels(seed_labels, n, m):
+    """Seed pairs as int64 (indices, record ids), each index in [0, n) and
+    each record id in [0, m); InvalidInput names the first bad pair."""
+    idx, values = (np.asarray(a, dtype=np.int64) for a in seed_labels)
+    if idx.ndim != 1 or idx.size < 1 or idx.shape != values.shape:
+        raise InvalidInput("seed labels need equal non-empty lists of indices and "
+                           f"record ids, got shapes {idx.shape} and {values.shape}")
+    bad = np.flatnonzero((idx < 0) | (idx >= n) | (values < 0) | (values >= m))
+    if bad.size:
+        k = int(bad[0])
+        raise InvalidInput(f"seed label pair {k} ({idx[k]}, {values[k]}): index must "
+                           f"be in [0, {n}) and record id in [0, {m})")
+    return idx, values
 
 
 def _pick_candidate(candidates, mode, seed_labels):
+    """Pick among (seed, iteration, objective, pi) candidates: the largest
+    objective, or in partial mode the best accuracy on checked seed pairs
+    with objective next; the earliest (seed, iteration) breaks ties."""
     if not candidates:
         raise NoCandidates("no candidates to select from")
     if mode == "partial":
         if seed_labels is None:
             raise InvalidInput("partial selection requires seed labels")
-        # accuracy first, objective next, then earliest (seed, iteration)
+        idx, values = seed_labels
         return max(
             candidates,
-            key=lambda c: (_label_accuracy(c[3], seed_labels), c[2], -c[0], -c[1]),
+            key=lambda c: (float(np.mean(c[3].map[idx] == values)), c[2], -c[0], -c[1]),
         )
     return max(candidates, key=lambda c: (c[2], -c[0], -c[1]))
-
-
-def select_model(results, mode="unsupervised", seed_labels=None):
-    """Pick among finished runs: largest objective, or in partial mode the
-    best accuracy on the labeled pairs with objective then seed as ties."""
-    if not results:
-        raise NoCandidates("no candidates to select from")
-    if mode not in SELECTION_MODES:
-        raise InvalidInput(f"selection must be one of {SELECTION_MODES}")
-    if mode == "partial":
-        if seed_labels is None:
-            raise InvalidInput("partial selection requires seed labels")
-        return max(
-            results,
-            key=lambda r: (_label_accuracy(r.assignment, seed_labels), r.objective, -r.seed),
-        )
-    return max(results, key=lambda r: (r.objective, -r.seed))
 
 
 def kmeans_assign(x, records, cfg, seed_labels=None):
@@ -239,7 +232,7 @@ def kmeans_assign(x, records, cfg, seed_labels=None):
     cluster_to_record = np.full(m, -1, dtype=np.int64)
     taken = np.zeros(m, dtype=bool)
     if seed_labels is not None:
-        idx, values = np.asarray(seed_labels[0]), np.asarray(seed_labels[1])
+        idx, values = _checked_seed_labels(seed_labels, n, m)
         for cl in order_clusters:
             members = idx[labels[idx] == cl]
             if members.size == 0:

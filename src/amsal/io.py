@@ -1,4 +1,10 @@
-"""On-disk formats and the batch pipeline.
+"""On-disk formats and the align -> erase -> evaluate stages.
+
+Each stage has one implementation, shared by the CLI subcommands and
+`run_pipeline`: `guarded_records` turns priors into count-bounded
+records, `align` runs the alternating search and writes assignment.csv
+and trace.csv, `erase` fits and applies a SAL or INLP eraser and writes
+eraser.bin and x_erased.<fmt>, and `evaluate` scores predictions.
 
 Two matrix formats: CSV for interchange (shortest round-trip float
 printing, optional header row) and a raw binary format for speed and
@@ -22,7 +28,7 @@ from .driver import AmsalConfig, alignment_accuracy, run_amsal
 from .errors import FormatError, InvalidInput
 from .linalg import as_matrix
 from .metrics import EvalReport, accuracy, f1_macro, mae, mae_gap, tpr_gap_rms
-from .removal import INLP, SAL, apply_eraser, fit_inlp, fit_logistic_probe, fit_sal, Eraser
+from .removal import INLP, SAL, Eraser, apply_eraser, fit_inlp, fit_logistic_probe, fit_sal
 
 MATRIX_MAGIC = b"AMSL"
 ERASER_MAGIC = b"AMSE"
@@ -30,12 +36,6 @@ FORMAT_VERSION = 1
 
 CSV = "csv"
 BIN = "bin"
-
-
-@dataclass(frozen=True)
-class MatrixFile:
-    path: str
-    format: str  # "csv" or "bin"
 
 
 def _infer_format(path, data=None):
@@ -49,16 +49,9 @@ def _infer_format(path, data=None):
     return CSV if data is not None else BIN
 
 
-def _unwrap(path, fmt):
-    if isinstance(path, MatrixFile):
-        return path.path, fmt or path.format
-    return path, fmt
-
-
 def save_matrix(matrix, path, fmt=None, header=False):
-    """Write a matrix; format comes from *fmt*, a MatrixFile handle, or the suffix."""
+    """Write a matrix; format comes from *fmt* or the suffix."""
     matrix = as_matrix(matrix, "matrix")
-    path, fmt = _unwrap(path, fmt)
     fmt = fmt or _infer_format(path)
     if fmt == BIN:
         rows, cols = matrix.shape
@@ -77,7 +70,6 @@ def save_matrix(matrix, path, fmt=None, header=False):
 
 def load_matrix(path, fmt=None):
     """Read a matrix back; BIN round trips are bit exact."""
-    path, fmt = _unwrap(path, fmt)
     raw = Path(path).read_bytes()
     fmt = fmt or _infer_format(path, raw)
     if fmt == BIN:
@@ -154,32 +146,26 @@ def load_assignment(path):
 
 def load_labels(path):
     """Integer labels, one per line."""
-    values = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            values.append(int(line.strip()))
-        except ValueError:
-            raise FormatError(f"{path}: line {ln}: not an integer") from None
-    if not values:
-        raise FormatError(f"{path}: no data rows")
-    return np.asarray(values, dtype=np.int64)
+    return _load_column(path, int, "an integer", np.int64)
 
 
 def load_values(path):
     """Float values, one per line."""
+    return _load_column(path, float, "a number", np.float64)
+
+
+def _load_column(path, parse, what, dtype):
     values = []
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            values.append(float(line.strip()))
+            values.append(parse(line.strip()))
         except ValueError:
-            raise FormatError(f"{path}: line {ln}: not a number") from None
+            raise FormatError(f"{path}: line {ln}: not {what}") from None
     if not values:
         raise FormatError(f"{path}: no data rows")
-    return np.asarray(values, dtype=np.float64)
+    return np.asarray(values, dtype=dtype)
 
 
 def load_seed_labels(path):
@@ -211,6 +197,8 @@ def _read_block(raw, offset, path):
     if len(raw) < offset + 16:
         raise FormatError(f"{path}: truncated block header at byte {offset}")
     rows, cols = struct.unpack_from("<QQ", raw, offset)
+    if rows < 1 or cols < 1:
+        raise FormatError(f"{path}: empty {rows}x{cols} block at byte {offset}")
     end = offset + 16 + rows * cols * 8
     if len(raw) < end:
         raise FormatError(f"{path}: truncated block payload at byte {offset + 16}")
@@ -237,7 +225,14 @@ def load_eraser(path):
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte 4")
     means, offset = _read_block(raw, 13, path)
-    matrix, _ = _read_block(raw, offset, path)
+    matrix, end = _read_block(raw, offset, path)
+    if end != len(raw):
+        raise FormatError(f"{path}: {len(raw) - end} trailing bytes at byte {end}")
+    if means.shape != (1, matrix.shape[0]):
+        raise FormatError(
+            f"{path}: means block at byte 13 is {means.shape[0]}x{means.shape[1]}, "
+            f"expected 1x{matrix.shape[0]} for the block at byte {offset}"
+        )
     if kind == 0:
         return Eraser(kind=SAL, input_means=means[0], basis=matrix, removed=extra)
     if kind == 1:
@@ -329,37 +324,20 @@ class PipelineConfig:
 
     @classmethod
     def from_values(cls, values, source="config"):
+        fields = dict(values)  # path and mode keys stay strings
         try:
-            priors = tuple(
+            fields["priors"] = tuple(
                 float(tok) for tok in values["priors"].split(",") if tok.strip()
             )
-            score_k = values["score_k"]
-            if score_k != "full":
-                score_k = int(score_k)
-            rank = values["removal_rank"]
-            if rank != "auto":
-                rank = int(rank)
-            return cls(
-                x=values["x"],
-                records=values["records"],
-                output_dir=values["output_dir"],
-                priors=priors,
-                slack=float(values["slack"]),
-                max_iterations=int(values["max_iterations"]),
-                num_seeds=int(values["num_seeds"]),
-                rng_seed=int(values["rng_seed"]),
-                score_k=score_k,
-                selection=values["selection"],
-                seed_labels=values["seed_labels"],
-                removal=values["removal"],
-                removal_rank=rank,
-                inlp_rounds=int(values["inlp_rounds"]),
-                y=values["y"],
-                y_kind=values["y_kind"],
-                truth=values["truth"],
-            )
+            fields["slack"] = float(values["slack"])
+            for key in ("max_iterations", "num_seeds", "rng_seed", "inlp_rounds"):
+                fields[key] = int(values[key])
+            for key, word in (("score_k", "full"), ("removal_rank", "auto")):
+                if values[key] != word:
+                    fields[key] = int(values[key])
         except ValueError as exc:
             raise FormatError(f"{source}: bad field value: {exc}") from None
+        return cls(**fields)
 
     def validate(self):
         if self.removal not in (SAL, INLP):
@@ -376,82 +354,110 @@ class PipelineConfig:
                 raise InvalidInput(f"{key} file not found: {path}")
 
 
+def guarded_records(z, n, priors, slack):
+    """Records z with count bounds for n inputs from per-record priors
+    (uniform when none are given)."""
+    m = len(z)
+    if priors is None or len(priors) == 0:
+        priors = np.full(m, 1.0 / m)
+    priors = np.asarray(priors, dtype=np.float64)
+    if priors.size != m:
+        raise InvalidInput(f"{priors.size} priors for {m} records")
+    lower, upper = bounds_from_priors(priors, n, slack)
+    return GuardedRecords(z, lower, upper)
+
+
+def align(x, records, cfg, out, truth=None):
+    """run_amsal, then write assignment.csv and trace.csv under out."""
+    result = run_amsal(x, records, cfg, truth=truth)
+    Path(out).mkdir(parents=True, exist_ok=True)
+    save_assignment(result.assignment, Path(out) / "assignment.csv")
+    save_trace(result.trace, Path(out) / "trace.csv")
+    return result
+
+
+def erase(x, pi, method, out, fmt, records, rank, max_rounds):
+    """Fit a SAL (uses records and rank) or INLP (uses max_rounds) eraser
+    under the map pi, apply it to x, and write eraser.bin and
+    x_erased.<fmt> under out; returns the erased matrix."""
+    if method == SAL:
+        if records is None:
+            raise InvalidInput("sal removal requires the guarded records")
+        eraser = fit_sal(x, records, pi, rank)
+    else:
+        eraser = fit_inlp(x, pi.map, max_rounds)
+    erased = apply_eraser(eraser, x)
+    Path(out).mkdir(parents=True, exist_ok=True)
+    save_eraser(eraser, Path(out) / "eraser.bin")
+    save_matrix(erased, Path(out) / f"x_erased.{fmt}", fmt=fmt)
+    return erased
+
+
+def evaluate(task, y_true, y_pred, groups, alignment_accuracy=None):
+    """Scores of predictions against gold values and group ids: accuracy,
+    macro F1 and (binary groups) TPR gap for "classification", MAE and
+    MAE gap for "regression"."""
+    n = len(y_true)
+    if len(y_pred) != n or len(groups) != n:
+        raise InvalidInput(f"{n} gold values, {len(y_pred)} predictions and {len(groups)} groups")
+    if task == "classification":
+        gap = tpr_gap_rms(y_true, y_pred, groups) if np.unique(groups).size == 2 else None
+        return EvalReport(
+            task_accuracy=accuracy(y_true, y_pred),
+            f1_macro=f1_macro(y_true, y_pred),
+            tpr_gap_rms=gap,
+            alignment_accuracy=alignment_accuracy,
+        )
+    return EvalReport(
+        mae=mae(y_true, y_pred),
+        mae_gap=mae_gap(np.abs(y_true - y_pred), groups),
+        alignment_accuracy=alignment_accuracy,
+    )
+
+
 def run_pipeline(cfg):
     """align -> erase -> eval in one deterministic pass.
 
     Writes assignment.csv, eraser.bin, x_erased.bin, trace.csv and
     report.txt under cfg.output_dir and returns the EvalReport. All
     randomness flows from cfg.rng_seed, so reruns are byte identical.
+    The task predictions are in-sample: a softmax probe on the erased
+    inputs for classification, least squares with an intercept for
+    regression.
     """
     cfg.validate()
     x = load_matrix(cfg.x)
-    z = load_matrix(cfg.records)
-    n, m = x.shape[0], z.shape[0]
-    priors = np.asarray(cfg.priors if cfg.priors else np.full(m, 1.0 / m))
-    if priors.size != m:
-        raise InvalidInput(f"{priors.size} priors for {m} records")
-    lower, upper = bounds_from_priors(priors, n, cfg.slack)
-    records = GuardedRecords(z, lower, upper)
-
+    n = x.shape[0]
+    records = guarded_records(load_matrix(cfg.records), n, cfg.priors, cfg.slack)
     truth = load_assignment(cfg.truth) if cfg.truth else None
     seed_labels = load_seed_labels(cfg.seed_labels) if cfg.seed_labels else None
     amsal_cfg = AmsalConfig(
         max_iterations=cfg.max_iterations,
         num_seeds=cfg.num_seeds,
-        slack=cfg.slack,
         score_k=cfg.score_k,
         selection=cfg.selection,
         seed_labels=seed_labels,
         rng_seed=cfg.rng_seed,
     )
-    result = run_amsal(x, records, amsal_cfg, truth=truth)
+    result = align(x, records, amsal_cfg, cfg.output_dir, truth)
+    erased = erase(x, result.assignment, cfg.removal, cfg.output_dir, BIN,
+                   records=records, rank=cfg.removal_rank, max_rounds=cfg.inlp_rounds)
 
-    if cfg.removal == SAL:
-        eraser = fit_sal(x, records, result.assignment, cfg.removal_rank)
-    else:
-        eraser = fit_inlp(x, result.assignment.map, cfg.inlp_rounds)
-    erased = apply_eraser(eraser, x)
-
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_assignment(result.assignment, out / "assignment.csv")
-    save_eraser(eraser, out / "eraser.bin")
-    save_matrix(erased, out / "x_erased.bin", fmt=BIN)
-    save_trace(result.trace, out / "trace.csv")
-
-    report = _evaluate(cfg, erased, result, truth)
-    save_report(report, out / "report.txt")
+    align_acc = alignment_accuracy(result.assignment, truth) if truth is not None else None
+    report = EvalReport(alignment_accuracy=align_acc)
+    if cfg.y_kind != "none":
+        y = load_labels(cfg.y) if cfg.y_kind == "classification" else load_values(cfg.y)
+        if y.size != n:
+            raise InvalidInput(f"{cfg.y}: {y.size} values for the {n} rows of x")
+        if cfg.y_kind == "classification":
+            classes, y = np.unique(y, return_inverse=True)
+            w, b = fit_logistic_probe(erased, y, classes.size)
+            y_pred = (erased @ w.T + b).argmax(axis=1)
+        else:
+            design = np.hstack([erased, np.ones((n, 1))])
+            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+            y_pred = design @ coef
+        groups = truth.map if truth is not None else result.assignment.map
+        report = evaluate(cfg.y_kind, y, y_pred, groups, align_acc)
+    save_report(report, Path(cfg.output_dir) / "report.txt")
     return report
-
-
-def _evaluate(cfg, erased, result, truth):
-    align_acc = (
-        alignment_accuracy(result.assignment, truth) if truth is not None else None
-    )
-    groups = truth.map if truth is not None else result.assignment.map
-    if cfg.y_kind == "classification":
-        y = load_labels(cfg.y)
-        classes, y_idx = np.unique(y, return_inverse=True)
-        w, b = fit_logistic_probe(erased, y_idx, classes.size)
-        preds = (erased @ w.T + b).argmax(axis=1)
-        gap = (
-            tpr_gap_rms(y_idx, preds, groups) if np.unique(groups).size == 2 else None
-        )
-        return EvalReport(
-            task_accuracy=accuracy(y_idx, preds),
-            f1_macro=f1_macro(y_idx, preds),
-            tpr_gap_rms=gap,
-            alignment_accuracy=align_acc,
-        )
-    if cfg.y_kind == "regression":
-        y = load_values(cfg.y)
-        design = np.hstack([erased, np.ones((erased.shape[0], 1))])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        preds = design @ coef
-        errs = np.abs(preds - y)
-        return EvalReport(
-            mae=mae(y, preds),
-            mae_gap=mae_gap(errs, groups),
-            alignment_accuracy=align_acc,
-        )
-    return EvalReport(alignment_accuracy=align_acc)

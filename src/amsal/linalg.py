@@ -60,24 +60,28 @@ class SvdResult:
     @property
     def rank(self):
         """Numerical rank: count of sigma[i] > RANK_RTOL * sigma[0]."""
-        if self.sigma.size == 0 or self.sigma[0] <= 0.0:
-            return 0
-        return int(np.sum(self.sigma > RANK_RTOL * self.sigma[0]))
+        return _rank(self.sigma)
 
     def reconstruct(self):
         """Multiply the factors back together."""
         return (self.u * self.sigma) @ self.v.T
 
 
-def _fix_signs(u, v):
-    """Flip singular-vector pairs so each u column has a positive peak entry."""
+def _rank(sigma):
+    """Count of sigma[i] > RANK_RTOL * sigma[0] for descending sigma."""
+    if sigma.size == 0 or sigma[0] <= 0.0:
+        return 0
+    return int(np.sum(sigma > RANK_RTOL * sigma[0]))
+
+
+def _fix_signs(u):
+    """Copy of u with each column flipped so its largest-magnitude entry
+    (the first on ties) is positive, and the mask of flipped columns."""
     peak = np.abs(u).argmax(axis=0)
     flip = u[peak, np.arange(u.shape[1])] < 0.0
     u = u.copy()
-    v = v.copy()
     u[:, flip] *= -1.0
-    v[:, flip] *= -1.0
-    return u, v
+    return u, flip
 
 
 def svd(a):
@@ -87,7 +91,9 @@ def svd(a):
     """
     a = as_matrix(a, "a")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    u, v = _fix_signs(u, vt.T)
+    u, flip = _fix_signs(u)
+    v = vt.T.copy()
+    v[:, flip] *= -1.0
     return SvdResult(u=u, sigma=s, v=v)
 
 
@@ -128,10 +134,3 @@ def singular_value_sum(a):
     a = as_matrix(a, "a")
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
-
-def numerical_rank(a):
-    """Rank of *a* under the RANK_RTOL relative threshold."""
-    s = np.linalg.svd(as_matrix(a, "a"), compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))

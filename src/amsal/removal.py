@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import RANK_RTOL, as_matrix, center_columns, cross_covariance
+from .linalg import RANK_RTOL, _fix_signs, _rank, as_matrix, center_columns, cross_covariance
 
 SAL = "sal"
 INLP = "inlp"
@@ -48,19 +48,22 @@ class Eraser:
     iterations: int | None = None
 
     def __post_init__(self):
-        if self.kind == SAL:
-            b = self.basis
-            gram = b.T @ b
-            if np.abs(gram - np.eye(b.shape[1])).max() > 1e-10:
-                raise InvalidInput("spectral basis columns are not orthonormal")
-        elif self.kind == INLP:
-            p = self.projection
-            if np.abs(p - p.T).max() > 1e-10:
-                raise InvalidInput("nullspace projection is not symmetric")
-            if np.sqrt(np.sum((p @ p - p) ** 2)) > 1e-8:
-                raise InvalidInput("nullspace projection is not idempotent")
-        else:
+        if self.kind not in (SAL, INLP):
             raise InvalidInput(f"unknown eraser kind {self.kind!r}")
+        matrix = self.basis if self.kind == SAL else self.projection
+        if matrix.shape[0] != self.dim:
+            raise InvalidInput(f"{self.dim} input means for {matrix.shape[0]} matrix rows")
+        if self.kind == SAL:
+            gram = matrix.T @ matrix
+            if np.abs(gram - np.eye(matrix.shape[1])).max() > 1e-10:
+                raise InvalidInput("spectral basis columns are not orthonormal")
+        else:
+            if matrix.shape != (self.dim, self.dim):
+                raise InvalidInput(f"nullspace projection must be square, got {matrix.shape}")
+            if np.abs(matrix - matrix.T).max() > 1e-10:
+                raise InvalidInput("nullspace projection is not symmetric")
+            if np.sqrt(np.sum((matrix @ matrix - matrix) ** 2)) > 1e-8:
+                raise InvalidInput("nullspace projection is not idempotent")
 
     @property
     def dim(self):
@@ -88,19 +91,16 @@ def fit_sal(x, records, pi, r="auto"):
     x_c, means = center_columns(x)
     omega = cross_covariance(x_c, records.z, pi)
     u_full, sigma, _ = np.linalg.svd(omega, full_matrices=True)
-    rank = int(np.sum(sigma > RANK_RTOL * sigma[0])) if sigma.size and sigma[0] > 0 else 0
     if r == "auto":
+        rank = _rank(sigma)
         if rank == 0:
             raise InvalidInput("cross-covariance is zero; nothing to remove")
-        r = min(max(rank, 1), records.dim)
+        r = min(rank, records.dim)
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise InvalidInput(f"r must be a positive count or 'auto', got {r!r}")
     if r >= d:
         raise InvalidInput(f"cannot remove r={r} of d={d} directions")
-    # deterministic orientation for the kept columns
-    peak = np.abs(u_full).argmax(axis=0)
-    flip = u_full[peak, np.arange(d)] < 0.0
-    u_full[:, flip] *= -1.0
+    u_full, _ = _fix_signs(u_full)  # the svd sign convention, for the kept columns too
     return Eraser(kind=SAL, input_means=means, basis=u_full[:, r:], removed=int(r))
 
 

@@ -172,7 +172,7 @@ def test_criterion_5_alignment_recovery():
     start = time.time()
     data = generate_latent(reference_records_spec(n=500, rng_seed=0))
     records, truth = as_records(data, slack=0.2)
-    cfg = AmsalConfig(max_iterations=100, num_seeds=3, slack=0.2, rng_seed=0)
+    cfg = AmsalConfig(max_iterations=100, num_seeds=3, rng_seed=0)
     result = run_amsal(data.x, records, cfg, truth=truth)
     acc = alignment_accuracy(result.assignment, truth)
     assert acc >= 0.95

@@ -134,10 +134,52 @@ def test_pipeline_partial_without_labels_fails_fast(tmp_path, capsys):
     assert "seed_labels" in capsys.readouterr().err
 
 
-def test_thread_cap_env_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("AMSAL_THREADS", "nope")
-    rc = main(["synth", "--out", str(tmp_path / "d")])
+def test_align_k_zero_rejected_like_score_k_zero(tmp_path, capsys):
+    out = _synth(tmp_path, n=60, seed=4)
+    rc = main([
+        "align", "--x", str(out / "x.bin"), "--records", str(out / "z_records.bin"),
+        "--k", "0", "--out", str(tmp_path / "a"),
+    ])
     assert rc == 2
-    assert "AMSAL_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("AMSAL_THREADS", "2")
-    assert main(["synth", "--out", str(tmp_path / "d2"), "--n", "20"]) == 0
+    assert "score_k must be a positive count" in capsys.readouterr().err
+
+
+def test_align_out_of_range_seed_label_exits_2(tmp_path, capsys):
+    out = _synth(tmp_path, n=60, seed=4)
+    (tmp_path / "seeds.csv").write_text("0,1\n60,0\n")
+    rc = main([
+        "align", "--x", str(out / "x.bin"), "--records", str(out / "z_records.bin"),
+        "--labels", str(tmp_path / "seeds.csv"), "--out", str(tmp_path / "a"),
+    ])
+    assert rc == 2
+    assert "seed label pair 1 (60, 0)" in capsys.readouterr().err
+
+
+def test_align_prior_count_mismatch_is_located(tmp_path, capsys):
+    out = _synth(tmp_path, n=60, seed=4)
+    rc = main([
+        "align", "--x", str(out / "x.bin"), "--records", str(out / "z_records.bin"),
+        "--priors", "0.5", "0.3", "0.2", "--out", str(tmp_path / "a"),
+    ])
+    assert rc == 2
+    assert "3 priors for 2 records" in capsys.readouterr().err
+
+
+def test_eval_regression_short_predictions_exit_2(tmp_path, capsys):
+    (tmp_path / "yt.csv").write_text("0.5\n1.5\n2.5\n")
+    (tmp_path / "yp.csv").write_text("0.5\n1.0\n")
+    (tmp_path / "z.csv").write_text("0\n1\n1\n")
+    rc = main([
+        "eval", "--task", "regression", "--y-true", str(tmp_path / "yt.csv"),
+        "--y-pred", str(tmp_path / "yp.csv"), "--z", str(tmp_path / "z.csv"),
+    ])
+    assert rc == 2
+    assert "3 gold values, 2 predictions and 3 groups" in capsys.readouterr().err
+
+
+def test_pipeline_y_length_mismatch_exit_2(tmp_path, capsys):
+    cfg = _pipeline_cfg(tmp_path, "run")
+    (tmp_path / "y.csv").write_text("0\n1\n" * 10)
+    rc = main(["pipeline", "--config", str(cfg)])
+    assert rc == 2
+    assert "20 values for the 150 rows of x" in capsys.readouterr().err

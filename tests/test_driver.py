@@ -3,8 +3,6 @@ import pytest
 
 from amsal import (
     AmsalConfig,
-    AmsalResult,
-    AmsalTrace,
     Assignment,
     GuardedRecords,
     InvalidInput,
@@ -19,10 +17,10 @@ from amsal import (
     random_feasible_assignment,
     reference_records_spec,
     run_amsal,
-    select_model,
     singular_value_sum,
     svd,
 )
+from amsal.driver import _pick_candidate
 
 
 def _centered_records(records):
@@ -158,35 +156,46 @@ def test_random_feasible_assignment_respects_bounds():
 
 
 def _result(objective, seed, pi):
-    return AmsalResult(
-        assignment=Assignment(np.asarray(pi, dtype=np.int64)),
-        projection=svd(np.eye(2)),
-        trace=AmsalTrace(),
-        seed=seed,
-        objective=objective,
-    )
+    # a run_amsal candidate: (seed, iteration, objective, map)
+    return (seed, 1, objective, Assignment(np.asarray(pi, dtype=np.int64)))
 
 
 def test_select_model_unsupervised():
     single = _result(5.0, 0, [0, 1])
-    assert select_model([single]) is single
+    assert _pick_candidate([single], "unsupervised", None) is single
     second = _result(7.0, 1, [1, 0])
-    assert select_model([single, second]) is second
+    assert _pick_candidate([single, second], "unsupervised", None) is second
 
 
 def test_select_model_partial_overrides_objective():
     labels = (np.array([0, 1]), np.array([0, 1]))
     good_fit = _result(5.0, 0, [0, 1, 0, 1])
     high_objective = _result(9.0, 1, [1, 0, 1, 0])
-    assert select_model([good_fit, high_objective]) is high_objective
-    assert select_model([good_fit, high_objective], "partial", labels) is good_fit
+    assert _pick_candidate([good_fit, high_objective], "unsupervised", None) is high_objective
+    assert _pick_candidate([good_fit, high_objective], "partial", labels) is good_fit
 
 
 def test_select_model_errors():
     with pytest.raises(NoCandidates):
-        select_model([])
+        _pick_candidate([], "unsupervised", None)
     with pytest.raises(InvalidInput):
-        select_model([_result(1.0, 0, [0])], "partial", None)
+        _pick_candidate([_result(1.0, 0, [0])], "partial", None)
+
+
+@pytest.mark.parametrize("labels, match", [
+    (([0, 5, -1], [0, 1, 1]), r"pair 2 \(-1, 1\)"),
+    (([0, 120], [1, 0]), r"pair 1 \(120, 0\)"),
+    (([3, 4], [0, 2]), r"pair 1 \(4, 2\)"),
+    (([0, 1], [0]), "equal non-empty"),
+    (([], []), "equal non-empty"),
+])
+def test_seed_labels_checked_before_selection(labels, match):
+    data, records, _ = _planted(n=120, seed=4)
+    cfg = AmsalConfig(max_iterations=2, num_seeds=1, selection="partial", seed_labels=labels)
+    with pytest.raises(InvalidInput, match=match):
+        run_amsal(data.x, records, cfg)
+    with pytest.raises(InvalidInput, match=match):
+        kmeans_assign(data.x, records, AmsalConfig(), seed_labels=labels)
 
 
 def test_partial_config_requires_labels():

@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from amsal import Assignment, FormatError, GuardedRecords, InvalidInput, fit_inlp, fit_sal
+from amsal import Assignment, Eraser, FormatError, GuardedRecords, InvalidInput, fit_inlp, fit_sal
 from amsal.io import (
     BIN,
     CSV,
@@ -47,14 +49,6 @@ def test_trivial_one_by_one(tmp_path):
         np.testing.assert_array_equal(load_matrix(path), [[0.0]])
 
 
-def test_matrix_file_handle(tmp_path):
-    from amsal.io import MatrixFile
-
-    handle = MatrixFile(str(tmp_path / "h.dat"), CSV)
-    save_matrix(np.array([[1.5, -2.0]]), handle)
-    np.testing.assert_allclose(load_matrix(handle), [[1.5, -2.0]])
-
-
 def test_csv_header_row(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("a,b\n1.5,2.5\n")
@@ -76,8 +70,6 @@ def test_bin_header_errors_carry_offsets(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 24)
     with pytest.raises(FormatError, match="byte 0"):
         load_matrix(path, fmt=BIN)
-    import struct
-
     path.write_bytes(struct.pack("<4sIQQ", b"AMSL", 9, 1, 1) + b"\x00" * 8)
     with pytest.raises(FormatError, match="byte 4"):
         load_matrix(path)
@@ -155,6 +147,34 @@ def test_eraser_bad_magic(tmp_path):
     (tmp_path / "x.bin").write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(FormatError, match="byte 0"):
         load_eraser(tmp_path / "x.bin")
+
+
+def test_eraser_file_rejects_trailing_bytes_and_mismatched_means(tmp_path):
+    sal, _ = _fitted_erasers()
+    path = tmp_path / "sal.bin"
+    save_eraser(sal, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw + b"\x00" * 3)
+    with pytest.raises(FormatError, match=f"3 trailing bytes at byte {len(raw)}"):
+        load_eraser(path)
+    # a means block of 4 values in front of the 5-row basis
+    means = struct.pack("<QQ", 1, 4) + b"\x00" * 32
+    path.write_bytes(raw[:13] + means + raw[13 + 16 + 40:])
+    with pytest.raises(FormatError, match="byte 13 is 1x4, expected 1x5 for the block at byte 61"):
+        load_eraser(path)
+    path.write_bytes(raw[:13] + struct.pack("<QQ", 1, 0) + struct.pack("<QQ", 0, 0))
+    with pytest.raises(FormatError, match="empty 1x0 block at byte 13"):
+        load_eraser(path)
+
+
+def test_eraser_shapes_checked():
+    sal, inlp = _fitted_erasers()
+    with pytest.raises(InvalidInput, match="4 input means for 5 matrix rows"):
+        Eraser(kind="sal", input_means=sal.input_means[:4], basis=sal.basis)
+    with pytest.raises(InvalidInput, match="4 input means for 5 matrix rows"):
+        Eraser(kind="inlp", input_means=inlp.input_means[:4], projection=inlp.projection)
+    with pytest.raises(InvalidInput, match="square"):
+        Eraser(kind="inlp", input_means=inlp.input_means, projection=inlp.projection[:, :4])
 
 
 def test_trace_file_layout(tmp_path):
