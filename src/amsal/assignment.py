@@ -7,18 +7,20 @@ optimum coincides with the LP optimum and can be found by network-flow
 reasoning instead of a general ILP. Both phases of the solver work on
 the condensed residual graph: one node per record (plus a slack node for
 the bounds), where arc u -> v carries the best gain of moving a single
-input from record u to record v.
+input from record u to record v. One `_MoveGains` object keeps those arc
+gains for both phases, and every move of an input goes through it.
 
 1. `_initial_optimum` starts from the row-wise argmax, which is optimal
    without bounds, and repairs the bounds by shifting one unit of count
    at a time along the best chain of moves between two records
    (successive shortest paths; Ahuja, Magnanti & Orlin, Network Flows,
    1993, ch. 9).
-2. `_lex_refine` rewrites that optimum into the lexicographically
-   smallest optimal map, so results do not depend on how the optimum was
-   reached. Dual potentials of the optimum screen the inputs: only an
-   input with an equally good alternative in a smaller record gets a path
-   search.
+2. `_lex_refine` continues from the same `_MoveGains` and rewrites that
+   optimum into the lexicographically smallest optimal map, so results
+   do not depend on how the optimum was reached. It freezes inputs in
+   index order, and frozen inputs drop out of the arc gains. Dual
+   potentials of the optimum screen the inputs: only an input with an
+   equally good alternative in a smaller record gets a path search.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
 optimality reasoning below is exact integer arithmetic on those costs.
@@ -153,9 +155,9 @@ def solve_assignment(s, records):
         raise InvalidInput(f"score matrix has {m} columns but {records.m} records")
     records.check_feasible(n)
     c = _integer_costs(s)
-    pi = _initial_optimum(c, records.lower_bounds, records.upper_bounds)
-    pi = _lex_refine(c, records.lower_bounds, records.upper_bounds, pi)
-    return _checked_assignment(pi, records)
+    lower, upper = records.lower_bounds.tolist(), records.upper_bounds.tolist()
+    gains = _initial_optimum(c, lower, upper)
+    return _checked_assignment(_lex_refine(gains, lower, upper), records)
 
 
 def _checked_assignment(pi, records):
@@ -172,18 +174,24 @@ def _checked_assignment(pi, records):
 
 
 class _MoveGains:
-    """Best gain c[i, v] - c[i, u] over the inputs i currently in record u.
+    """Best gain c[i, v] - c[i, u] over the unfrozen inputs i now in record u.
 
-    For each pair (u, v), inputs that started in u are read from one static
-    order sorted by decreasing gain, and inputs that moved into u later from
-    a max-heap. Entries of inputs that have since left u are skipped lazily,
-    so moving an input costs O(m log n) and reading a pair O(1) amortized.
+    Both solver phases share one instance: the bound repair moves inputs
+    through it, then the lex refine freezes inputs (an input is never
+    unfrozen) and moves the others. For each pair (u, v), inputs that
+    started in u are read from one static order sorted by decreasing gain,
+    and inputs that moved into u later from a max-heap. Entries of inputs
+    that have since left u or been frozen are skipped lazily, so moving an
+    input costs O(m log n) and reading a pair O(1) amortized. The record
+    counts of pi are kept alongside.
     """
 
     def __init__(self, c, pi):
         self.c = c
         self.pi = pi
+        self.frozen = np.zeros(pi.shape[0], dtype=bool)
         m = c.shape[1]
+        self.counts = np.bincount(pi, minlength=m).tolist()
         self.static = {}
         self.heaps = {}
         for u in range(m):
@@ -196,15 +204,16 @@ class _MoveGains:
                     self.heaps[u, v] = []
 
     def best(self, u, v):
-        """(gain, input) of the best move out of u into v, or (None, -1) if u is empty."""
-        pi = self.pi
+        """(gain, input) of the best move out of u into v, or (None, -1) if
+        u holds no unfrozen input."""
+        pi, frozen = self.pi, self.frozen
         entry = self.static[u, v]
         rows, gains, pos = entry
-        while pos < rows.size and pi[rows[pos]] != u:
+        while pos < rows.size and (pi[rows[pos]] != u or frozen[rows[pos]]):
             pos += 1
         entry[2] = pos
         heap = self.heaps[u, v]
-        while heap and pi[heap[0][1]] != u:
+        while heap and (pi[heap[0][1]] != u or frozen[heap[0][1]]):
             heapq.heappop(heap)
         if pos < rows.size and (not heap or gains[pos] >= -heap[0][0]):
             return int(gains[pos]), int(rows[pos])
@@ -214,6 +223,8 @@ class _MoveGains:
 
     def move(self, i, v):
         """Reassign input i to record v."""
+        self.counts[self.pi[i]] -= 1
+        self.counts[v] += 1
         self.pi[i] = v
         row = self.c[i].tolist()
         for w in range(len(row)):
@@ -231,14 +242,12 @@ def _initial_optimum(c, lower, upper):
     none keeps it level with a positive gain. This is cycle cancelling
     with convex penalties, so the result is optimal. Augmenting along best
     paths keeps the record graph free of positive cycles, which makes the
-    path gains well defined at every step.
+    path gains well defined at every step. Returns the _MoveGains holding
+    the optimum, for the lex refine to continue from.
     """
     m = c.shape[1]
-    pi = c.argmax(axis=1)
-    counts = np.bincount(pi, minlength=m).tolist()
-    lower = lower.tolist()
-    upper = upper.tolist()
-    gains = _MoveGains(c, pi)
+    gains = _MoveGains(c, c.argmax(axis=1))
+    counts = gains.counts
     W = [[None] * m for _ in range(m)]
     witness = [[-1] * m for _ in range(m)]
     stale = range(m)
@@ -259,40 +268,32 @@ def _initial_optimum(c, lower, upper):
                 if best is None or key < best[0]:
                     best = (key, a, b)
         if best is None or best[0] >= (0, 0):
-            return pi
+            return gains
         _, a, b = best
         seq = _simple_path(via, a, b)
         for u, v in zip(seq, seq[1:]):
             gains.move(witness[u][v], v)
-        counts[a] -= 1
-        counts[b] += 1
         stale = seq  # only records on the path changed members
 
 
-def _condensed_graph(c, lower, upper, pi, counts, frozen):
-    """Best single-move gains between record nodes plus a slack node.
+def _residual_graph(gains, lower, upper):
+    """Best single-move gains between record nodes plus a slack node m.
 
     Arc u -> v moves the best unfrozen input out of u into v; arcs to and
     from the slack node model raising u's count (if below upper[u]) or
     lowering it (if above lower[u]). Returns (W, witness) where W[u][v]
     is the arc gain (None if unavailable) and witness the moved input.
     """
-    m = c.shape[1]
-    nodes = m + 1
-    W = [[None] * nodes for _ in range(nodes)]
-    witness = [[-1] * nodes for _ in range(nodes)]
+    m = len(gains.counts)
+    W = [[None] * (m + 1) for _ in range(m + 1)]
+    witness = [[-1] * (m + 1) for _ in range(m + 1)]
     for u in range(m):
-        rows = np.flatnonzero((pi == u) & ~frozen)
-        if rows.size:
-            gains = c[rows] - c[rows, u][:, None]
-            best = gains.argmax(axis=0)
-            for v in range(m):
-                if v != u:
-                    W[u][v] = int(gains[best[v], v])
-                    witness[u][v] = int(rows[best[v]])
-        if counts[u] < upper[u]:
+        for v in range(m):
+            if v != u:
+                W[u][v], witness[u][v] = gains.best(u, v)
+        if gains.counts[u] < upper[u]:
             W[u][m] = 0
-        if counts[u] > lower[u]:
+        if gains.counts[u] > lower[u]:
             W[m][u] = 0
     return W, witness
 
@@ -348,24 +349,24 @@ def _simple_path(via, u, v):
     return seq
 
 
-def _lex_refine(c, lower, upper, pi):
-    """Rewrite an optimal map into the lexicographically smallest optimal map.
+def _lex_refine(gains, lower, upper):
+    """Rewrite the optimal map held by gains into the lexicographically
+    smallest optimal map.
 
-    Inputs are fixed in index order. Input i may move from its group a to
-    a smaller group b exactly when the move plus the cheapest rebalancing
-    chain from b back to a has zero total gain; optimality of the current
-    map guarantees the total can never be positive.
+    Inputs are fixed (frozen) in index order. Input i may move from its
+    group a to a smaller group b exactly when the move plus the cheapest
+    rebalancing chain of unfrozen inputs from b back to a has zero total
+    gain; optimality of the current map guarantees the total can never be
+    positive.
 
     Potentials phi (longest paths from a virtual root in the residual
     graph of the optimum) are optimal duals, and every optimal map uses
     only tight edges: c[i, j] - phi[j] maximal over j. An input already in
     its smallest tight record cannot move, so only the others get path work.
     """
-    n, m = c.shape
-    pi = pi.copy()
-    frozen = np.zeros(n, dtype=bool)
-    W, _ = _condensed_graph(c, lower, upper, pi, np.bincount(pi, minlength=m), frozen)
-    D, _ = _best_paths(W)
+    c, pi = gains.c, gains.pi
+    m = c.shape[1]
+    D, _ = _best_paths(_residual_graph(gains, lower, upper)[0])
     phi = np.array(
         [max(D[u][v] for u in range(m + 1) if D[u][v] is not None) for v in range(m)],
         dtype=np.int64,
@@ -378,21 +379,18 @@ def _lex_refine(c, lower, upper, pi):
         if not rest.size:
             return pi
         i += 1 + int(rest[0])
-        frozen[: i + 1] = True
+        gains.frozen[: i + 1] = True
         a = int(pi[i])
-        counts = np.bincount(pi, minlength=m)
-        W, witness = _condensed_graph(c, lower, upper, pi, counts, frozen)
+        W, witness = _residual_graph(gains, lower, upper)
         D, via = _best_paths(W)
         base = int(c[i, a])
         for b in range(a):
-            if D[b][a] is None:
-                continue
-            if int(c[i, b]) - base + D[b][a] == 0:
+            if D[b][a] is not None and int(c[i, b]) - base + D[b][a] == 0:
                 seq = _simple_path(via, b, a)
                 for u, v in zip(seq, seq[1:]):
                     if u < m and v < m:
-                        pi[witness[u][v]] = v
-                pi[i] = b
+                        gains.move(witness[u][v], v)
+                gains.move(i, b)
                 break
 
 

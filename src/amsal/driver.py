@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import Assignment, GuardedRecords, score_matrix, solve_assignment
+from .assignment import (Assignment, GuardedRecords, assignment_objective, score_matrix,
+                         solve_assignment)
 from .errors import InvalidInput, NoCandidates
 from .linalg import SvdResult, as_matrix, center_columns, cross_covariance, svd
 
@@ -52,8 +53,8 @@ class AmsalConfig:
             raise InvalidInput("num_seeds must be at least 1")
         if self.selection not in SELECTION_MODES:
             raise InvalidInput(f"selection must be one of {SELECTION_MODES}")
-        if self.selection == "partial" and self.seed_labels is None:
-            raise InvalidInput("partial selection requires seed_labels")
+        if (self.selection == "partial") != (self.seed_labels is not None):
+            raise InvalidInput("partial selection and seed_labels require each other")
         if self.score_k != "full" and (not isinstance(self.score_k, int) or self.score_k < 1):
             raise InvalidInput("score_k must be a positive count or 'full'")
 
@@ -106,8 +107,7 @@ def am_iterate(x, records, pi, cfg):
     k = _effective_k(cfg, proj)
     s = score_matrix(x, records, proj, k)
     new_pi = solve_assignment(s, records)
-    objective = float(s[np.arange(x.shape[0]), new_pi.map].sum())
-    return new_pi, proj, objective
+    return new_pi, proj, assignment_objective(s, new_pi)
 
 
 def random_feasible_assignment(records, n, rng):
@@ -215,8 +215,9 @@ def kmeans_assign(x, records, cfg, seed_labels=None):
 
     Clusters are matched to records by descending size against descending
     bound mass (or by majority vote of labeled members when seed labels
-    are given), then the map is repaired to the bounds by relocating the
-    points whose distance margin is smallest.
+    are given). Each record takes its cluster's center, and the exact
+    bounded solver assigns the points with the least total squared
+    distance to their record's center.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
@@ -246,10 +247,9 @@ def kmeans_assign(x, records, cfg, seed_labels=None):
     for cl in order_clusters:
         if cluster_to_record[cl] < 0:
             cluster_to_record[cl] = free_records.pop(0)
-    pi = cluster_to_record[labels]
-
-    pi = _repair_to_bounds(x, centers[np.argsort(cluster_to_record)], pi, records)
-    return Assignment(pi)
+    record_centers = centers[np.argsort(cluster_to_record)]
+    dists = ((x[:, None, :] - record_centers[None, :, :]) ** 2).sum(axis=2)
+    return solve_assignment(-dists, records)
 
 
 def _lloyd(x, k, rng, max_sweeps=100):
@@ -279,33 +279,3 @@ def _lloyd(x, k, rng, max_sweeps=100):
             break
         labels = new_labels
     return labels, centers
-
-
-def _repair_to_bounds(x, record_centers, pi, records):
-    """Move lowest-margin points until every record count is inside its bounds."""
-    pi = pi.copy()
-    m = records.m
-    dists = ((x[:, None, :] - record_centers[None, :, :]) ** 2).sum(axis=2)
-    while True:
-        counts = np.bincount(pi, minlength=m)
-        over = np.flatnonzero(counts > records.upper_bounds)
-        under = np.flatnonzero(counts < records.lower_bounds)
-        if over.size == 0 and under.size == 0:
-            return pi
-        if over.size:
-            src = int(over[0])
-            dest_ok = np.flatnonzero(counts < records.upper_bounds)
-        else:
-            dest_ok = np.array([int(under[0])])
-            src_ok = np.flatnonzero(counts > records.lower_bounds)
-            src = None
-        if src is not None:
-            rows = np.flatnonzero(pi == src)
-            margin = dists[rows][:, dest_ok] - dists[rows, src][:, None]
-            r, c = np.unravel_index(int(np.argmin(margin)), margin.shape)
-            pi[rows[r]] = dest_ok[c]
-        else:
-            dest = int(dest_ok[0])
-            rows = np.flatnonzero(np.isin(pi, src_ok))
-            margin = dists[rows, dest] - dists[rows, pi[rows]]
-            pi[rows[int(np.argmin(margin))]] = dest

@@ -68,9 +68,27 @@ def save_matrix(matrix, path, fmt=None, header=False):
         raise InvalidInput(f"unknown matrix format {fmt!r}")
 
 
+def _read(path, text=False):
+    """A file's bytes, or its UTF-8 text; an unreadable file raises
+    InvalidInput and undecodable text FormatError, both naming the path."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise InvalidInput(f"{path}: {exc.strerror}") from None
+    return _decode(raw, path) if text else raw
+
+
+def _decode(raw, path):
+    """UTF-8 text of raw; FormatError names the byte offset of a bad sequence."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
 def load_matrix(path, fmt=None):
     """Read a matrix back; BIN round trips are bit exact."""
-    raw = Path(path).read_bytes()
+    raw = _read(path)
     fmt = fmt or _infer_format(path, raw)
     if fmt == BIN:
         return _parse_bin(raw, path)
@@ -99,7 +117,7 @@ def _parse_bin(raw, path):
 
 
 def _parse_csv(raw, path):
-    lines = raw.decode("utf-8").splitlines()
+    lines = _decode(raw, path).splitlines()
     rows = []
     width = None
     header_allowed = True
@@ -146,7 +164,7 @@ def load_assignment(path):
 
 def load_labels(path):
     """Integer labels, one per line."""
-    return _load_column(path, int, "an integer", np.int64)
+    return _load_column(path, _int64, "an integer", np.int64)
 
 
 def load_values(path):
@@ -154,9 +172,16 @@ def load_values(path):
     return _load_column(path, float, "a number", np.float64)
 
 
+def _int64(tok):
+    value = int(tok)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} is outside int64")
+    return value
+
+
 def _load_column(path, parse, what, dtype):
     values = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(_read(path, text=True).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -171,15 +196,15 @@ def _load_column(path, parse, what, dtype):
 def load_seed_labels(path):
     """Partial-supervision pairs: lines of "input_index,record_index"."""
     idx, val = [], []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(_read(path, text=True).splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split(",")
         if len(fields) != 2:
             raise FormatError(f"{path}: line {ln}: expected index,record")
         try:
-            idx.append(int(fields[0]))
-            val.append(int(fields[1]))
+            idx.append(_int64(fields[0]))
+            val.append(_int64(fields[1]))
         except ValueError:
             raise FormatError(f"{path}: line {ln}: not an integer pair") from None
     if not idx:
@@ -203,6 +228,8 @@ def _read_block(raw, offset, path):
     if len(raw) < end:
         raise FormatError(f"{path}: truncated block payload at byte {offset + 16}")
     data = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=offset + 16)
+    if not np.all(np.isfinite(data)):
+        raise FormatError(f"{path}: non-finite value in the block at byte {offset}")
     return data.reshape(rows, cols), end
 
 
@@ -216,7 +243,7 @@ def save_eraser(eraser, path):
 
 
 def load_eraser(path):
-    raw = Path(path).read_bytes()
+    raw = _read(path)
     if len(raw) < 13:
         raise FormatError(f"{path}: truncated header at byte {len(raw)}")
     magic, version, kind, extra = struct.unpack_from("<4sIBI", raw, 0)
@@ -306,7 +333,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path):
         values = dict(_CONFIG_DEFAULTS)
-        for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for ln, line in enumerate(_read(path, text=True).splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -344,8 +371,8 @@ class PipelineConfig:
             raise InvalidInput(f"removal must be 'sal' or 'inlp', got {self.removal!r}")
         if self.y_kind not in ("classification", "regression", "none"):
             raise InvalidInput("y_kind must be classification, regression or none")
-        if self.selection == "partial" and not self.seed_labels:
-            raise InvalidInput("partial selection requires a seed_labels file")
+        if (self.selection == "partial") != bool(self.seed_labels):
+            raise InvalidInput("partial selection and a seed_labels file require each other")
         if self.y_kind != "none" and not self.y:
             raise InvalidInput(f"y_kind={self.y_kind} requires a y file")
         for key in ("x", "records", "seed_labels", "y", "truth"):

@@ -5,13 +5,15 @@ slot-expanded cost matrix, and the unscreened lexicographic refine then
 runs the path test for every input. It is slow, but it reaches the
 lexicographically smallest optimum by a route independent of the
 library's argmax-and-repair phase and dual screen, and that optimum is
-unique, so `solve_assignment` must return exactly the same map.
+unique, so `solve_assignment` must return exactly the same map. The
+refine's arc gains are rebuilt densely from the costs here, not read from
+the library's move-gain structure, so the oracle shares none of that code.
 """
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from amsal.assignment import _best_paths, _condensed_graph, _integer_costs, _simple_path
+from amsal.assignment import _best_paths, _integer_costs, _simple_path
 from amsal.linalg import as_matrix
 
 
@@ -46,6 +48,34 @@ def lap_optimum(c, lower, upper):
     return pi
 
 
+def dense_condensed_graph(c, lower, upper, pi, counts, frozen):
+    """Best single-move gains between record nodes plus a slack node.
+
+    Arc u -> v moves the best unfrozen input out of u into v; arcs to and
+    from the slack node model raising u's count (if below upper[u]) or
+    lowering it (if above lower[u]). Returns (W, witness) where W[u][v]
+    is the arc gain (None if unavailable) and witness the moved input.
+    """
+    m = c.shape[1]
+    nodes = m + 1
+    W = [[None] * nodes for _ in range(nodes)]
+    witness = [[-1] * nodes for _ in range(nodes)]
+    for u in range(m):
+        rows = np.flatnonzero((pi == u) & ~frozen)
+        if rows.size:
+            gains = c[rows] - c[rows, u][:, None]
+            best = gains.argmax(axis=0)
+            for v in range(m):
+                if v != u:
+                    W[u][v] = int(gains[best[v], v])
+                    witness[u][v] = int(rows[best[v]])
+        if counts[u] < upper[u]:
+            W[u][m] = 0
+        if counts[u] > lower[u]:
+            W[m][u] = 0
+    return W, witness
+
+
 def unscreened_lex_refine(c, lower, upper, pi):
     """Fix inputs in index order, each in the smallest group an optimum allows."""
     n, m = c.shape
@@ -57,7 +87,7 @@ def unscreened_lex_refine(c, lower, upper, pi):
         if a == 0:
             continue
         counts = np.bincount(pi, minlength=m)
-        W, witness = _condensed_graph(c, lower, upper, pi, counts, frozen)
+        W, witness = dense_condensed_graph(c, lower, upper, pi, counts, frozen)
         D, via = _best_paths(W)
         base = int(c[i, a])
         for b in range(a):

@@ -191,7 +191,7 @@ def test_two_records_beyond_former_size_cap():
 
 
 def test_out_of_bounds_solver_output_raises(monkeypatch):
-    monkeypatch.setattr(amsal.assignment, "_lex_refine", lambda c, lower, upper, pi: 0 * pi)
+    monkeypatch.setattr(amsal.assignment, "_lex_refine", lambda gains, lower, upper: 0 * gains.pi)
     with pytest.raises(AmsalError, match=r"record 0: solver assigned 4 inputs, outside \[1, 3\]"):
         solve_assignment(np.zeros((4, 2)), _records(2, [1, 1], [3, 3]))
 

@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from amsal.cli import main
 from amsal.io import load_assignment, load_labels, load_matrix, save_assignment
@@ -183,3 +184,41 @@ def test_pipeline_y_length_mismatch_exit_2(tmp_path, capsys):
     rc = main(["pipeline", "--config", str(cfg)])
     assert rc == 2
     assert "20 values for the 150 rows of x" in capsys.readouterr().err
+
+
+def _unreadable_input_argv(tmp_path, bad):
+    """For each subcommand, a command line whose only unusable file is bad."""
+    for name, text in (("x.csv", "1,2\n3,4\n5,6\n"), ("z.csv", "1,0\n0,1\n"),
+                       ("pi.csv", "0\n1\n0\n"), ("y.csv", "0\n1\n1\n")):
+        (tmp_path / name).write_text(text)
+    x, z, pi, y = (str(tmp_path / name) for name in ("x.csv", "z.csv", "pi.csv", "y.csv"))
+    out = str(tmp_path / "out")
+    return {
+        "align": ["align", "--x", x, "--records", z, "--labels", bad, "--out", out],
+        "erase": ["erase", "--x", bad, "--assignment", pi, "--method", "inlp", "--out", out],
+        "eval": ["eval", "--task", "classification", "--y-true", y, "--y-pred", bad, "--z", pi],
+        "pipeline": ["pipeline", "--config", bad],
+    }
+
+
+@pytest.mark.parametrize("command", ["align", "erase", "eval", "pipeline"])
+def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, command):
+    # main() catching the error is what keeps a traceback off stderr: an
+    # uncaught exception would propagate out of it and fail this test
+    missing = str(tmp_path / "missing.csv")
+    assert main(_unreadable_input_argv(tmp_path, missing)[command]) == 2
+    assert f"InvalidInput: {missing}: No such file or directory" in capsys.readouterr().err
+
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"0\n\xff\xfe\n")
+    assert main(_unreadable_input_argv(tmp_path, str(bad))[command]) == 2
+    assert f"FormatError: {bad}: not UTF-8 text at byte 2" in capsys.readouterr().err
+
+
+def test_pipeline_seed_labels_without_partial_selection_exit_2(tmp_path, capsys):
+    cfg = _pipeline_cfg(tmp_path, "run")
+    (tmp_path / "seeds.csv").write_text("9999,7\n")
+    with open(cfg, "a") as fh:
+        fh.write(f"seed_labels = {tmp_path / 'seeds.csv'}\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert "partial selection and a seed_labels file require each other" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from amsal import (
     alignment_accuracy,
     am_iterate,
     as_records,
+    bounds_from_priors,
     center_columns,
     cross_covariance,
     generate_latent,
@@ -20,7 +21,7 @@ from amsal import (
     singular_value_sum,
     svd,
 )
-from amsal.driver import _pick_candidate
+from amsal.driver import _lloyd, _pick_candidate
 
 
 def _centered_records(records):
@@ -201,6 +202,8 @@ def test_seed_labels_checked_before_selection(labels, match):
 def test_partial_config_requires_labels():
     with pytest.raises(InvalidInput):
         AmsalConfig(selection="partial")
+    with pytest.raises(InvalidInput, match="require each other"):
+        AmsalConfig(seed_labels=([0], [1]))  # seed labels without partial selection
 
 
 def test_kmeans_recovers_blobs():
@@ -210,7 +213,6 @@ def test_kmeans_recovers_blobs():
     x = rng.standard_normal((n, 3)) + np.where(states[:, None] == 1, 4.0, -4.0)
     counts = np.bincount(states, minlength=2)
     z = np.array([[0.0, 1.0], [1.0, 0.0]])  # record j encodes state j
-    from amsal import bounds_from_priors
 
     lower, upper = bounds_from_priors(counts / n, n, 0.2)
     records = GuardedRecords(z, lower, upper)
@@ -241,3 +243,60 @@ def test_kmeans_partial_labels_flip_mapping():
     values = np.array([1, 1, 1, 0, 0])
     flipped = kmeans_assign(x, records, AmsalConfig(rng_seed=0), seed_labels=(idx, values))
     assert np.mean(flipped.map == 1 - states) > 0.9
+
+
+def _greedy_kmeans(x, records, cfg):
+    """The k-means baseline as it was before it called solve_assignment:
+    the same clustering and size-based cluster-to-record matching, then a
+    greedy repair that relocates the points of smallest distance margin."""
+    m = records.m
+    labels, centers = _lloyd(x, m, np.random.default_rng(cfg.rng_seed))
+    order_clusters = np.lexsort((np.arange(m), -np.bincount(labels, minlength=m)))
+    order_records = np.lexsort((np.arange(m), -(records.lower_bounds + records.upper_bounds)))
+    cluster_to_record = np.empty(m, dtype=np.int64)
+    cluster_to_record[order_clusters] = order_records
+    record_centers = centers[np.argsort(cluster_to_record)]
+    dists = ((x[:, None, :] - record_centers[None, :, :]) ** 2).sum(axis=2)
+    pi = cluster_to_record[labels]
+    while True:
+        counts = np.bincount(pi, minlength=m)
+        over = np.flatnonzero(counts > records.upper_bounds)
+        under = np.flatnonzero(counts < records.lower_bounds)
+        if over.size == 0 and under.size == 0:
+            return pi, dists
+        if over.size:
+            src = int(over[0])
+            dest_ok = np.flatnonzero(counts < records.upper_bounds)
+            rows = np.flatnonzero(pi == src)
+            margin = dists[rows][:, dest_ok] - dists[rows, src][:, None]
+            r, c = np.unravel_index(int(np.argmin(margin)), margin.shape)
+            pi[rows[r]] = dest_ok[c]
+        else:
+            dest = int(under[0])
+            rows = np.flatnonzero(np.isin(pi, np.flatnonzero(counts > records.lower_bounds)))
+            margin = dists[rows, dest] - dists[rows, pi[rows]]
+            pi[rows[int(np.argmin(margin))]] = dest
+
+
+def test_kmeans_bounded_assignment_beats_greedy_repair_corpus():
+    rng = np.random.default_rng(16)
+    strictly_better = 0
+    for trial in range(40):
+        n = int(rng.integers(20, 121))
+        m = int(rng.integers(2, 6))
+        d = int(rng.integers(1, 5))
+        states = rng.integers(0, m, n)
+        x = rng.standard_normal((n, d)) + 2.0 * rng.standard_normal((m, d))[states]
+        priors = rng.dirichlet(np.ones(m))  # unrelated to the cluster sizes: bounds bind
+        lower, upper = bounds_from_priors(priors, n, float(rng.uniform(0.0, 0.3)))
+        records = GuardedRecords(rng.standard_normal((m, 2)), lower, upper)
+        cfg = AmsalConfig(rng_seed=trial)
+        pi = kmeans_assign(x, records, cfg)
+        greedy, dists = _greedy_kmeans(x, records, cfg)
+        assert pi.satisfies(records) and Assignment(greedy).satisfies(records)
+        total = dists[np.arange(n), pi.map].sum()
+        greedy_total = dists[np.arange(n), greedy].sum()
+        # the solver is exact on integer costs rounded to max|d| / 2^32
+        assert total <= greedy_total + n * dists.max() / 2**32
+        strictly_better += total < greedy_total - 1e-9
+    assert strictly_better > 0

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -116,6 +117,12 @@ def test_assignment_and_label_files(tmp_path):
     (tmp_path / "junk.csv").write_text("1\nxx\n")
     with pytest.raises(FormatError, match="line 2"):
         load_labels(tmp_path / "junk.csv")
+    (tmp_path / "junk.csv").write_text("1\n" + "9" * 20 + "\n")  # beyond int64
+    with pytest.raises(FormatError, match="line 2"):
+        load_labels(tmp_path / "junk.csv")
+    (tmp_path / "junk.csv").write_text("0,1\n1," + "9" * 20 + "\n")
+    with pytest.raises(FormatError, match="line 2"):
+        load_seed_labels(tmp_path / "junk.csv")
 
 
 def _fitted_erasers():
@@ -229,3 +236,38 @@ def test_pipeline_config_validation(tmp_path):
     cfg = PipelineConfig.from_values(values)
     with pytest.raises(InvalidInput, match="seed_labels"):
         cfg.validate()
+    cfg = PipelineConfig.from_values({**values, "selection": "unsupervised",
+                                      "seed_labels": "seed.csv"})
+    with pytest.raises(InvalidInput, match="seed_labels file require each other"):
+        cfg.validate()
+
+
+def test_eraser_file_rejects_non_finite_blocks(tmp_path):
+    sal, inlp = _fitted_erasers()
+    path = tmp_path / "e.bin"
+    for eraser in (sal, inlp):
+        save_eraser(eraser, path)
+        raw = path.read_bytes()
+        # means block at byte 13 holds 5 values; the matrix block follows at 13 + 16 + 40
+        for value_at, block_at in ((13 + 16 + 8, 13), (69 + 16 + 24, 69)):
+            for bad in (np.nan, np.inf):
+                path.write_bytes(raw[:value_at] + struct.pack("<d", bad) + raw[value_at + 8:])
+                with pytest.raises(FormatError, match=f"non-finite value in the block at byte "
+                                                      f"{block_at}$"):
+                    load_eraser(path)
+
+
+@pytest.mark.parametrize("load", [
+    load_matrix, load_labels, load_values, load_seed_labels, load_eraser, PipelineConfig.from_file,
+])
+def test_unreadable_or_undecodable_file_is_located(tmp_path, load):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(InvalidInput, match=re.escape(f"{missing}: No such file or directory")):
+        load(missing)
+    with pytest.raises(InvalidInput, match=re.escape(f"{tmp_path}: Is a directory")):
+        load(tmp_path)
+    if load is not load_eraser:
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1\n\xff\xfe2\n")
+        with pytest.raises(FormatError, match=re.escape(f"{bad}: not UTF-8 text at byte 2")):
+            load(bad)
