@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io as aio
 from .driver import AmsalConfig, alignment_accuracy
-from .errors import AmsalError
+from .errors import AmsalError, InvalidInput
 from .synthetic import LatentSpec, as_records, generate_latent
 
 
@@ -36,8 +36,7 @@ def _cmd_synth(args):
         rng_seed=args.seed,
     )
     data = generate_latent(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = aio.output_dir(args.out)
     ext = args.format
     aio.save_matrix(data.x, out / f"x.{ext}", fmt=ext)
     aio.save_matrix(data.z, out / f"z_samples.{ext}", fmt=ext)
@@ -79,11 +78,17 @@ def _cmd_align(args):
 
 
 def _cmd_erase(args):
+    if args.method == "inlp":
+        for flag, value in (("--records", args.records), ("--priors", args.priors),
+                            ("--rank", args.rank)):
+            if value is not None:
+                raise InvalidInput(f"{flag} does not apply to --method inlp")
     x = aio.load_matrix(args.x)
     pi = aio.load_assignment(args.assignment)
-    records = _records(args, x.shape[0]) if args.method == "sal" and args.records else None
+    records = _records(args, x.shape[0]) if args.records else None
+    rank = "auto" if args.rank is None else args.rank
     aio.erase(x, pi, args.method, args.out, args.format,
-              records=records, rank=args.rank, max_rounds=args.max_rounds)
+              records=records, rank=rank, max_rounds=args.max_rounds)
     print(f"erased matrix written to {Path(args.out) / f'x_erased.{args.format}'}")
     return 0
 
@@ -94,7 +99,7 @@ def _cmd_eval(args):
     report = aio.evaluate(args.task, load(args.y_true), load(args.y_pred), z)
     text = aio.format_report(report)
     if args.out:
-        Path(args.out).write_text(text)
+        aio.save_report(report, args.out)
     print(text, end="")
     return 0
 
@@ -160,7 +165,8 @@ def build_parser():
     p.add_argument("--method", choices=("sal", "inlp"), default="sal")
     p.add_argument("--records", default=None, help="required for sal")
     _add_bounds_args(p)
-    p.add_argument("--rank", type=_rank, default="auto", help="directions to drop (sal)")
+    p.add_argument("--rank", type=_rank, default=None,
+                   help="directions to drop (sal; default auto)")
     p.add_argument("--max-rounds", type=int, default=10, help="probe rounds (inlp)")
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
     p.add_argument("--out", required=True)

@@ -17,7 +17,9 @@ can be replayed without any extra dependencies.
 
 from __future__ import annotations
 
+import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,17 +57,38 @@ def save_matrix(matrix, path, fmt=None, header=False):
     fmt = fmt or _infer_format(path)
     if fmt == BIN:
         rows, cols = matrix.shape
-        with open(path, "wb") as fh:
+        with _writing(path, "wb") as fh:
             fh.write(struct.pack("<4sIQQ", MATRIX_MAGIC, FORMAT_VERSION, rows, cols))
             fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
     elif fmt == CSV:
-        with open(path, "w") as fh:
+        with _writing(path) as fh:
             if header:
                 fh.write(",".join(f"c{j}" for j in range(matrix.shape[1])) + "\n")
-            for row in matrix:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for row in matrix.tolist():  # Python floats: repr is the shortest round trip
+                fh.write(",".join(map(repr, row)) + "\n")
     else:
         raise InvalidInput(f"unknown matrix format {fmt!r}")
+
+
+def output_dir(path):
+    """Create directory path and its parents; InvalidInput names the path
+    when that fails. Returns it as a Path."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInput(f"{path}: {exc.strerror}") from None
+    return Path(path)
+
+
+@contextmanager
+def _writing(path, mode="w"):
+    """path opened for writing; an OSError while opening or writing it
+    raises InvalidInput naming the path."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidInput(f"{path}: {exc.strerror}") from None
 
 
 def _read(path, text=False):
@@ -153,7 +176,7 @@ def _is_float(tok):
 
 
 def save_assignment(pi, path):
-    with open(path, "w") as fh:
+    with _writing(path) as fh:
         for j in pi.map:
             fh.write(f"{int(j)}\n")
 
@@ -168,8 +191,15 @@ def load_labels(path):
 
 
 def load_values(path):
-    """Float values, one per line."""
-    return _load_column(path, float, "a number", np.float64)
+    """Finite float values, one per line."""
+    return _load_column(path, _finite, "a finite number", np.float64)
+
+
+def _finite(tok):
+    value = float(tok)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
 
 
 def _int64(tok):
@@ -236,7 +266,7 @@ def _read_block(raw, offset, path):
 def save_eraser(eraser, path):
     kind = 0 if eraser.kind == SAL else 1
     extra = eraser.removed if eraser.kind == SAL else eraser.iterations
-    with open(path, "wb") as fh:
+    with _writing(path, "wb") as fh:
         fh.write(struct.pack("<4sIBI", ERASER_MAGIC, FORMAT_VERSION, kind, int(extra)))
         _write_block(fh, eraser.input_means.reshape(1, -1))
         _write_block(fh, eraser.basis if eraser.kind == SAL else eraser.projection)
@@ -269,7 +299,7 @@ def load_eraser(path):
 
 def save_trace(trace, path):
     """Objective trace as CSV: iteration, seed, objective, accuracy (blank without truth)."""
-    with open(path, "w") as fh:
+    with _writing(path) as fh:
         fh.write("iteration,seed,objective,accuracy\n")
         for row in trace.rows:
             acc = "" if np.isnan(row.accuracy) else repr(row.accuracy)
@@ -282,7 +312,8 @@ def format_report(report):
 
 
 def save_report(report, path):
-    Path(path).write_text(format_report(report))
+    with _writing(path) as fh:
+        fh.write(format_report(report))
 
 
 _CONFIG_DEFAULTS = {
@@ -395,11 +426,12 @@ def guarded_records(z, n, priors, slack):
 
 
 def align(x, records, cfg, out, truth=None):
-    """run_amsal, then write assignment.csv and trace.csv under out."""
+    """run_amsal, then write assignment.csv and trace.csv under out (created
+    first, so an unusable out fails before the search)."""
+    out = output_dir(out)
     result = run_amsal(x, records, cfg, truth=truth)
-    Path(out).mkdir(parents=True, exist_ok=True)
-    save_assignment(result.assignment, Path(out) / "assignment.csv")
-    save_trace(result.trace, Path(out) / "trace.csv")
+    save_assignment(result.assignment, out / "assignment.csv")
+    save_trace(result.trace, out / "trace.csv")
     return result
 
 
@@ -407,6 +439,7 @@ def erase(x, pi, method, out, fmt, records, rank, max_rounds):
     """Fit a SAL (uses records and rank) or INLP (uses max_rounds) eraser
     under the map pi, apply it to x, and write eraser.bin and
     x_erased.<fmt> under out; returns the erased matrix."""
+    out = output_dir(out)
     if method == SAL:
         if records is None:
             raise InvalidInput("sal removal requires the guarded records")
@@ -414,9 +447,8 @@ def erase(x, pi, method, out, fmt, records, rank, max_rounds):
     else:
         eraser = fit_inlp(x, pi.map, max_rounds)
     erased = apply_eraser(eraser, x)
-    Path(out).mkdir(parents=True, exist_ok=True)
-    save_eraser(eraser, Path(out) / "eraser.bin")
-    save_matrix(erased, Path(out) / f"x_erased.{fmt}", fmt=fmt)
+    save_eraser(eraser, out / "eraser.bin")
+    save_matrix(erased, out / f"x_erased.{fmt}", fmt=fmt)
     return erased
 
 

@@ -84,6 +84,27 @@ def _fix_signs(u):
     return u, flip
 
 
+# OpenBLAS spreads a product of more than 2**18 multiply-adds over its
+# threads, and the workers then busy-wait for about 0.1 s after the call,
+# taking a core from the single-threaded code that follows. A product whose
+# rows split into blocks of at least MIN_BLOCK_ROWS under that size is run
+# block by block on the calling thread; the bits are the same, since BLAS
+# splits rows and columns among threads, never the summed axis.
+ONE_THREAD_MADDS = 1 << 18
+MIN_BLOCK_ROWS = 16
+
+
+def _matmul(a, b):
+    """a @ b for 2-d arrays, on the calling thread where row blocks allow."""
+    rows = ONE_THREAD_MADDS // max(1, a.shape[1] * b.shape[1])
+    if rows < MIN_BLOCK_ROWS or a.shape[0] <= rows:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    for i in range(0, a.shape[0], rows):
+        np.matmul(a[i:i + rows], b, out=out[i:i + rows])
+    return out
+
+
 def svd(a):
     """Thin SVD of *a* with the deterministic sign convention.
 

@@ -5,7 +5,10 @@ cross-covariance with the smallest singular values: projecting inputs
 onto that subspace drives their covariance with the guarded records to
 the discarded singular values, exactly. Nullspace removal repeatedly
 trains a linear probe for the guarded labels and projects the data onto
-the orthogonal complement of the accumulated probe directions.
+the orthogonal complement of the accumulated probe directions. The probe is
+full-batch softmax regression laid out class-major: weights and bias are
+one (c, d + 1) matrix on the augmented design [x, 1], so an epoch is two
+GEMMs and a softmax reduced over the short class axis.
 
 Both erasers subtract the means stored at fit time and then apply an
 orthogonal projection, so the output stays in the original coordinate
@@ -19,12 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import RANK_RTOL, _fix_signs, _rank, as_matrix, center_columns, cross_covariance
+from .linalg import (RANK_RTOL, _fix_signs, _matmul, _rank, as_matrix, center_columns,
+                     cross_covariance)
 
 SAL = "sal"
 INLP = "inlp"
 
-# fixed probe budget: full-batch gradient descent with a decaying step
+# fixed probe budget: full-batch gradient descent with a decaying step,
+# shared by the INLP rounds, probe_accuracy and the pipeline's task probe
 PROBE_EPOCHS = 500
 PROBE_STEP = 0.1
 INLP_STOP_SLACK = 0.02
@@ -53,17 +58,19 @@ class Eraser:
         matrix = self.basis if self.kind == SAL else self.projection
         if matrix.shape[0] != self.dim:
             raise InvalidInput(f"{self.dim} input means for {matrix.shape[0]} matrix rows")
-        if self.kind == SAL:
-            gram = matrix.T @ matrix
-            if np.abs(gram - np.eye(matrix.shape[1])).max() > 1e-10:
-                raise InvalidInput("spectral basis columns are not orthonormal")
-        else:
-            if matrix.shape != (self.dim, self.dim):
-                raise InvalidInput(f"nullspace projection must be square, got {matrix.shape}")
-            if np.abs(matrix - matrix.T).max() > 1e-10:
-                raise InvalidInput("nullspace projection is not symmetric")
-            if np.sqrt(np.sum((matrix @ matrix - matrix) ** 2)) > 1e-8:
-                raise InvalidInput("nullspace projection is not idempotent")
+        if self.kind == INLP and matrix.shape != (self.dim, self.dim):
+            raise InvalidInput(f"nullspace projection must be square, got {matrix.shape}")
+        # a huge or non-finite entry makes a check value inf or nan, which fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == SAL:
+                gram = _matmul(matrix.T, matrix)
+                if not np.abs(gram - np.eye(matrix.shape[1])).max() <= 1e-10:
+                    raise InvalidInput("spectral basis columns are not orthonormal")
+            else:
+                if not np.abs(matrix - matrix.T).max() <= 1e-10:
+                    raise InvalidInput("nullspace projection is not symmetric")
+                if not np.sqrt(np.sum((_matmul(matrix, matrix) - matrix) ** 2)) <= 1e-8:
+                    raise InvalidInput("nullspace projection is not idempotent")
 
     @property
     def dim(self):
@@ -73,7 +80,7 @@ class Eraser:
     def matrix(self):
         """The d x d projection applied after centering."""
         if self.kind == SAL:
-            return self.basis @ self.basis.T
+            return _matmul(self.basis, self.basis.T)
         return self.projection
 
 
@@ -166,30 +173,30 @@ def apply_eraser(eraser, x, reduced=False):
     if reduced:
         if eraser.kind != SAL:
             raise InvalidInput("reduced output is only defined for the spectral eraser")
-        return x_c @ eraser.basis
-    return x_c @ eraser.matrix
+        return _matmul(x_c, eraser.basis)
+    return _matmul(x_c, eraser.matrix)
 
 
 def fit_logistic_probe(x, y, num_classes):
     """Full-batch softmax regression with the fixed training budget.
 
-    Deterministic (zero init); returns (weights (c, d), bias (c,)).
+    Deterministic (zero init); returns (weights (c, d), bias (c,)). Runs
+    class-major on [x, 1]: (c, n) logits reduce over axis 0, and one
+    GEMM gives the weight and the bias gradient together.
     """
     n, d = x.shape
-    w = np.zeros((num_classes, d))
-    b = np.zeros(num_classes)
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), y] = 1.0
+    xa = np.hstack([x, np.ones((n, 1))])
+    wa = np.zeros((num_classes, d + 1))
+    onehot = np.zeros((num_classes, n))
+    onehot[y, np.arange(n)] = 1.0
     for t in range(PROBE_EPOCHS):
-        logits = x @ w.T + b
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        g = (p - onehot) / n
-        step = PROBE_STEP / (1.0 + t / 100.0)
-        w -= step * (g.T @ x)
-        b -= step * g.sum(axis=0)
-    return w, b
+        p = wa @ xa.T
+        p -= p.max(axis=0)
+        np.exp(p, out=p)
+        p /= p.sum(axis=0)
+        p -= onehot
+        wa -= (PROBE_STEP / (1.0 + t / 100.0) / n) * (p @ xa)
+    return wa[:, :d].copy(), wa[:, d].copy()
 
 
 def probe_accuracy(x, y):

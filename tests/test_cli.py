@@ -222,3 +222,36 @@ def test_pipeline_seed_labels_without_partial_selection_exit_2(tmp_path, capsys)
         fh.write(f"seed_labels = {tmp_path / 'seeds.csv'}\n")
     assert main(["pipeline", "--config", str(cfg)]) == 2
     assert "partial selection and a seed_labels file require each other" in capsys.readouterr().err
+
+
+def test_erase_inlp_refuses_sal_only_flags(tmp_path, capsys):
+    out = _synth(tmp_path, n=60, seed=5)
+    base = ["erase", "--x", str(out / "x.bin"), "--assignment", str(out / "truth.csv"),
+            "--method", "inlp", "--out", str(tmp_path / "e")]
+    for flag, extra in (("--records", [str(out / "z_records.bin")]), ("--priors", ["0.7", "0.3"]),
+                        ("--priors", []), ("--rank", ["2"]), ("--rank", ["auto"])):
+        assert main(base + [flag] + extra) == 2
+        assert f"InvalidInput: {flag} does not apply to --method inlp" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+    assert main(base) == 0
+
+
+@pytest.mark.parametrize("command", ["align", "erase", "pipeline", "eval"])
+def test_unusable_output_path_exits_2_naming_it(tmp_path, capsys, command):
+    (tmp_path / "notadir").write_text("")
+    bad = str(tmp_path / "notadir" / "sub")
+    if command == "pipeline":
+        cfg = _pipeline_cfg(tmp_path, "run")
+        cfg.write_text(cfg.read_text().replace(str(tmp_path / "run"), bad))
+        argv = ["pipeline", "--config", str(cfg)]
+    else:
+        data = _synth(tmp_path, n=60, seed=6)
+        x, z, truth = (str(data / name) for name in ("x.bin", "z_records.bin", "truth.csv"))
+        argv = {
+            "align": ["align", "--x", x, "--records", z, "--out", bad],
+            "erase": ["erase", "--x", x, "--assignment", truth, "--method", "inlp", "--out", bad],
+            "eval": ["eval", "--task", "classification", "--y-true", truth, "--y-pred", truth,
+                     "--z", truth, "--out", bad],
+        }[command]
+    assert main(argv) == 2
+    assert f"InvalidInput: {bad}: Not a directory" in capsys.readouterr().err

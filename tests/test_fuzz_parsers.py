@@ -3,8 +3,9 @@
 Each parser gets a valid file that is then truncated, byte-flipped,
 given a random header, spliced with random bytes or with a token that
 parsers tend to trip on (invalid UTF-8, non-finite or oversized
-numbers, separators), or replaced by random bytes. Only FormatError or
-InvalidInput may escape, and whatever loads must hold finite values.
+numbers, separators), given such a token as a line of its own, or
+replaced by random bytes. Only FormatError or InvalidInput may escape,
+and whatever loads must hold finite values.
 """
 
 import struct
@@ -66,8 +67,8 @@ def _valid_files(tmp_path):
 
 @st.composite
 def _mutated(draw, raw):
-    kind = draw(st.sampled_from(["truncate", "flip", "header", "splice", "token", "special",
-                                 "random"]))
+    kind = draw(st.sampled_from(["truncate", "flip", "header", "splice", "token", "line",
+                                 "special", "random"]))
     if kind == "random":
         return draw(st.binary(max_size=64))
     if kind == "truncate":
@@ -80,6 +81,10 @@ def _mutated(draw, raw):
         for _ in range(draw(st.integers(1, 3))):
             out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
         return bytes(out)
+    if kind == "line":
+        starts = [0] + [i + 1 for i, byte in enumerate(raw) if byte == ord("\n")]
+        pos = draw(st.sampled_from(starts))
+        return raw[:pos] + draw(st.sampled_from(TOKENS)) + b"\n" + raw[pos:]
     if kind == "special":
         pos = draw(st.integers(0, len(out) - 8))
         out[pos : pos + 8] = draw(st.sampled_from(SPECIAL))
@@ -107,5 +112,5 @@ def test_parser_fuzz_raises_only_located_errors(tmp_path, fmt, data):
         return
     if isinstance(loaded, Eraser):
         assert np.all(np.isfinite(loaded.input_means)) and np.all(np.isfinite(loaded.matrix))
-    elif load is load_matrix:
+    elif load in (load_matrix, load_values):
         assert np.all(np.isfinite(loaded))

@@ -1,10 +1,20 @@
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from amsal import Assignment, Eraser, FormatError, GuardedRecords, InvalidInput, fit_inlp, fit_sal
+from amsal import (
+    Assignment,
+    Eraser,
+    EvalReport,
+    FormatError,
+    GuardedRecords,
+    InvalidInput,
+    fit_inlp,
+    fit_sal,
+)
 from amsal.io import (
     BIN,
     CSV,
@@ -15,9 +25,11 @@ from amsal.io import (
     load_matrix,
     load_seed_labels,
     load_values,
+    output_dir,
     save_assignment,
     save_eraser,
     save_matrix,
+    save_report,
     save_trace,
 )
 from amsal.driver import AmsalTrace, TraceRow
@@ -41,6 +53,20 @@ def test_csv_round_trip(tmp_path):
     save_matrix(m, path, fmt=CSV)
     back = load_matrix(path)
     np.testing.assert_allclose(back, m, rtol=1e-15, atol=0.0)
+
+
+def test_csv_bytes_match_per_scalar_formatting(tmp_path):
+    rng = np.random.default_rng(3)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 2.0**53, 1e16, 0.1, 1e-7]
+    m = np.vstack([np.resize(special, (3, 8)), rng.standard_normal((20, 8)),
+                   rng.standard_normal((5, 8)) * 1e-300,
+                   np.round(rng.standard_normal((4, 8)) * 100)])
+    save_matrix(m, tmp_path / "m.csv", fmt=CSV, header=True)
+    # the row format before rows were formatted from matrix.tolist()
+    expected = ",".join(f"c{j}" for j in range(8)) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in m)
+    assert (tmp_path / "m.csv").read_bytes() == expected.encode()
+    np.testing.assert_array_equal(load_matrix(tmp_path / "m.csv"), m)
 
 
 def test_trivial_one_by_one(tmp_path):
@@ -110,6 +136,10 @@ def test_assignment_and_label_files(tmp_path):
     np.testing.assert_array_equal(load_labels(path), pi.map)
     (tmp_path / "vals.csv").write_text("0.5\n-1.25\n")
     np.testing.assert_allclose(load_values(tmp_path / "vals.csv"), [0.5, -1.25])
+    for bad in ("nan", "inf", "-inf", "1e999"):
+        (tmp_path / "vals.csv").write_text(f"0.5\n\n{bad}\n")
+        with pytest.raises(FormatError, match="vals.csv: line 3: not a finite number"):
+            load_values(tmp_path / "vals.csv")
     (tmp_path / "seed.csv").write_text("0,1\n5,0\n")
     idx, val = load_seed_labels(tmp_path / "seed.csv")
     np.testing.assert_array_equal(idx, [0, 5])
@@ -182,6 +212,19 @@ def test_eraser_shapes_checked():
         Eraser(kind="inlp", input_means=inlp.input_means[:4], projection=inlp.projection)
     with pytest.raises(InvalidInput, match="square"):
         Eraser(kind="inlp", input_means=inlp.input_means, projection=inlp.projection[:, :4])
+
+
+def test_eraser_checks_reject_huge_and_non_finite_matrices():
+    # the checks must fail on an inf or nan check value, and without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bad, first_failed in ((1e200, "idempotent"), (np.nan, "symmetric"),
+                                  (np.inf, "symmetric")):
+            diag = np.diag([1.0, 1.0, bad])
+            with pytest.raises(InvalidInput, match=f"not {first_failed}"):
+                Eraser(kind="inlp", input_means=np.zeros(3), projection=diag)
+            with pytest.raises(InvalidInput, match="not orthonormal"):
+                Eraser(kind="sal", input_means=np.zeros(3), basis=diag[:, 1:])
 
 
 def test_trace_file_layout(tmp_path):
@@ -271,3 +314,25 @@ def test_unreadable_or_undecodable_file_is_located(tmp_path, load):
         bad.write_bytes(b"1\n\xff\xfe2\n")
         with pytest.raises(FormatError, match=re.escape(f"{bad}: not UTF-8 text at byte 2")):
             load(bad)
+
+
+def test_unwritable_output_is_located(tmp_path):
+    (tmp_path / "notadir").write_text("")
+    bad = tmp_path / "notadir" / "sub"
+    with pytest.raises(InvalidInput, match=re.escape(f"{bad}: Not a directory")):
+        output_dir(bad)
+    assert output_dir(tmp_path / "a" / "b") == tmp_path / "a" / "b"
+    sal, _ = _fitted_erasers()
+    taken = tmp_path / "taken"  # a directory where each writer wants a file
+    taken.mkdir()
+    writers = [
+        lambda: save_matrix(np.eye(2), taken, fmt=BIN),
+        lambda: save_matrix(np.eye(2), taken, fmt=CSV),
+        lambda: save_assignment(Assignment(np.array([0, 1])), taken),
+        lambda: save_eraser(sal, taken),
+        lambda: save_trace(AmsalTrace(rows=()), taken),
+        lambda: save_report(EvalReport(), taken),
+    ]
+    for write in writers:
+        with pytest.raises(InvalidInput, match=re.escape(f"{taken}: Is a directory")):
+            write()

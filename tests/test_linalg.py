@@ -134,6 +134,25 @@ def test_center_columns():
     assert np.abs(centered.mean(axis=0)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n,k,m", [
+    (500, 128, 128),  # 16-row blocks
+    (37, 128, 128),   # a short last block
+    (16, 128, 128),   # one block: plain product
+    (300, 8, 8),      # small: plain product
+    (40, 768, 768),   # blocks under 16 rows: plain product
+    (129, 64, 1),
+])
+def test_blocked_matmul_matches_plain_product(n, k, m):
+    from amsal.linalg import _matmul
+
+    rng = np.random.default_rng(n * 1000 + k + m)
+    a = rng.standard_normal((n, k))
+    b = rng.standard_normal((k, m))
+    np.testing.assert_array_equal(_matmul(a, b), a @ b)
+    # transposed views, as the eraser checks pass them
+    np.testing.assert_array_equal(_matmul(b.T, a.T), b.T @ a.T)
+
+
 def test_norms():
     a = np.diag([3.0, 1.0])
     assert spectral_norm(a) == pytest.approx(3.0)

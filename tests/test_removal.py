@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_probe import reference_inlp, reference_probe
 
 from amsal import (
     Assignment,
@@ -9,6 +10,7 @@ from amsal import (
     center_columns,
     cross_covariance,
     fit_inlp,
+    fit_logistic_probe,
     fit_sal,
     probe_accuracy,
     spectral_norm,
@@ -189,3 +191,69 @@ def test_sal_probe_near_chance_after_erasure():
     majority = np.bincount(states).max() / n
     post = probe_accuracy(apply_eraser(eraser, x), states)
     assert abs(post - majority) <= 0.03
+
+
+def _probe_corpus():
+    """(x, y, c) instances: c in {2, 3, 8}, n from 5 to 500, d from 1 to 128,
+    with separable data, a constant column and a class of one member.
+
+    Features stay within a few units. With features of magnitude 20 and
+    more (class offsets of 4 k at c = 8), the fixed PROBE_STEP makes the
+    descent oscillate and amplify rounding, so any two summation orders,
+    these two included, end up to 1e-3 apart and may flip a prediction."""
+    rng = np.random.default_rng(14)
+    shapes = [(5, 1), (7, 3), (12, 2), (20, 5), (40, 8), (60, 16), (90, 1), (150, 32),
+              (300, 8), (500, 128)]
+    for c in (2, 3, 8):
+        for n, d in shapes:
+            if n < c + 1:
+                continue
+            for variant in ("gaussian", "separable"):
+                y = np.concatenate([np.arange(c), rng.integers(0, c, n - c)])
+                if variant == "separable":  # class k sits at 0.6 k on column 0, noise 0.1
+                    x = 0.1 * rng.standard_normal((n, d))
+                    x[:, 0] += 0.6 * y
+                else:
+                    x = rng.standard_normal((n, d)) * rng.uniform(0.2, 2.0)
+                if d > 1 and n % 3 == 0:
+                    x[:, -1] = 2.5  # a constant column
+                if n >= 20:
+                    y[y == c - 1] = 0
+                    y[rng.integers(n)] = c - 1  # a class with a single member
+                yield x + rng.uniform(-1, 1), y, c
+
+
+def test_probe_matches_reference_corpus():
+    count = 0
+    for x, y, c in _probe_corpus():
+        count += 1
+        w, b = fit_logistic_probe(x, y, c)
+        w_ref, b_ref = reference_probe(x, y, c)
+        assert w.shape == w_ref.shape and b.shape == b_ref.shape
+        tol = 1e-10 * (1.0 + np.abs(w_ref).max())
+        assert np.abs(w - w_ref).max() <= tol and np.abs(b - b_ref).max() <= tol
+        np.testing.assert_array_equal((x @ w.T + b).argmax(axis=1),
+                                      (x @ w_ref.T + b_ref).argmax(axis=1))
+    assert count >= 50
+
+
+def test_probe_is_deterministic():
+    for x, y, c in list(_probe_corpus())[::7]:
+        w1, b1 = fit_logistic_probe(x, y, c)
+        w2, b2 = fit_logistic_probe(x, y, c)
+        assert w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
+
+
+def test_inlp_matches_reference_inlp():
+    rng = np.random.default_rng(15)
+    for n, d, c in ((80, 4, 2), (120, 6, 3), (200, 12, 2), (300, 8, 8), (150, 3, 3),
+                    (500, 32, 2)):
+        y = rng.integers(0, c, n)
+        x = rng.standard_normal((n, d))
+        x[:, : min(c, d)] += 2.0 * (y[:, None] == np.arange(min(c, d)))
+        eraser = fit_inlp(x, y, max_rounds=d)
+        projection, rounds = reference_inlp(x, y, d)
+        assert eraser.iterations == rounds >= 1
+        assert np.abs(eraser.projection - projection).max() <= 1e-10
+        again = fit_inlp(x, y, max_rounds=d)
+        assert again.projection.tobytes() == eraser.projection.tobytes()
