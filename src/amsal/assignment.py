@@ -10,11 +10,16 @@ the bounds), where arc u -> v carries the best gain of moving a single
 input from record u to record v. One `_MoveGains` object keeps those arc
 gains for both phases, and every move of an input goes through it.
 
-1. `_initial_optimum` starts from the row-wise argmax, which is optimal
-   without bounds, and repairs the bounds by shifting one unit of count
-   at a time along the best chain of moves between two records
-   (successive shortest paths; Ahuja, Magnanti & Orlin, Network Flows,
-   1993, ch. 9).
+1. `_initial_optimum` starts from a price start: the row-wise argmax of
+   c - phi, where one vectorized pass sets the price phi[j] of each
+   record whose count is out of bounds so that its count lands on the
+   violated bound (a dual start in the spirit of auction methods for
+   transportation problems; Bertsekas & Castanon, 1989). Any such
+   argmax is optimal among the maps with its own counts. The bound
+   repair then shifts one unit of count at a time along the best chain
+   of moves between two records until the bounds hold and no shift
+   gains (successive shortest paths; Ahuja, Magnanti & Orlin, Network
+   Flows, 1993, ch. 9); after the price start it has few units left.
 2. `_lex_refine` continues from the same `_MoveGains` and rewrites that
    optimum into the lexicographically smallest optimal map, so results
    do not depend on how the optimum was reached. It freezes inputs in
@@ -197,9 +202,10 @@ class _MoveGains:
         for u in range(m):
             rows = np.flatnonzero(pi == u)
             gains = c[rows] - c[rows, u][:, None]
+            orders = np.argsort(-gains, axis=0, kind="stable")
             for v in range(m):
                 if v != u:
-                    order = np.argsort(-gains[:, v], kind="stable")
+                    order = orders[:, v]
                     self.static[u, v] = [rows[order], gains[order, v], 0]
                     self.heaps[u, v] = []
 
@@ -232,21 +238,55 @@ class _MoveGains:
                 heapq.heappush(self.heaps[v, w], (row[v] - row[w], i))
 
 
+def _price_start(c, lower, upper):
+    """Start map argmax(c - phi) for record prices phi that move counts onto the bounds.
+
+    The prices start at zero. One pass in index order visits each record
+    j whose count under argmax(c - phi) is outside its bounds and sets
+    phi[j] from the gains g = c[:, j] - max over l != j of (c[:, l] -
+    phi[l]): one above the (upper[j] + 1)-th largest gain when j holds
+    too many inputs, one below the lower[j]-th largest when too few, so
+    j's count lands on that bound (or inside it, where gains tie). Later
+    prices can push an earlier record out again; the bound repair fixes
+    whatever is left.
+    """
+    n, m = c.shape
+    phi = np.zeros(m, dtype=np.int64)
+    pi = c.argmax(axis=1)
+    counts = np.bincount(pi, minlength=m)
+    for j in range(m):
+        if lower[j] <= counts[j] <= upper[j]:
+            continue
+        reduced = c - phi
+        g = c[:, j] - np.delete(reduced, j, axis=1).max(axis=1)
+        if counts[j] > upper[j]:
+            k = n - upper[j] - 1
+            phi[j] = np.partition(g, k)[k] + 1
+        else:
+            k = n - lower[j]
+            phi[j] = np.partition(g, k)[k] - 1
+        reduced[:, j] = c[:, j] - phi[j]
+        pi = reduced.argmax(axis=1)
+        counts = np.bincount(pi, minlength=m)
+    return pi
+
+
 def _initial_optimum(c, lower, upper):
-    """One optimal map: the row-wise argmax, then bound repair on the record graph.
+    """One optimal map: the price start, then bound repair on the record graph.
 
     Each step shifts one unit of count from record a to record b along the
     best a -> b chain of single-input moves. It picks the transfer that
     most reduces the total bound violation and, among those, the one with
     the largest gain; it stops when no transfer lowers the violation and
     none keeps it level with a positive gain. This is cycle cancelling
-    with convex penalties, so the result is optimal. Augmenting along best
-    paths keeps the record graph free of positive cycles, which makes the
-    path gains well defined at every step. Returns the _MoveGains holding
-    the optimum, for the lex refine to continue from.
+    with convex penalties, so the result is optimal. The start, an argmax
+    of c - phi, has a record graph free of positive cycles, and augmenting
+    along best paths keeps it so, which makes the path gains well defined
+    at every step. Returns the _MoveGains holding the optimum, for the lex
+    refine to continue from.
     """
     m = c.shape[1]
-    gains = _MoveGains(c, c.argmax(axis=1))
+    gains = _MoveGains(c, _price_start(c, lower, upper))
     counts = gains.counts
     W = [[None] * m for _ in range(m)]
     witness = [[-1] * m for _ in range(m)]

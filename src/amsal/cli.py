@@ -43,10 +43,10 @@ def _cmd_synth(args):
     records, truth = as_records(data, slack=args.slack)
     aio.save_matrix(records.z, out / f"z_records.{ext}", fmt=ext)
     aio.save_assignment(truth, out / "truth.csv")
-    with open(out / "states.csv", "w") as fh:
+    with aio._writing(out / "states.csv") as fh:
         for h in data.states:
             fh.write(f"{int(h)}\n")
-    with open(out / "priors.csv", "w") as fh:
+    with aio._writing(out / "priors.csv") as fh:
         counts = np.bincount(truth.map, minlength=records.m)
         fh.write(",".join(repr(float(c) / data.n) for c in counts) + "\n")
     print(f"wrote {data.n} samples ({records.m} unique records) to {out}")
@@ -54,7 +54,8 @@ def _cmd_synth(args):
 
 
 def _records(args, n):
-    return aio.guarded_records(aio.load_matrix(args.records), n, args.priors, args.slack)
+    slack = 0.2 if args.slack is None else args.slack
+    return aio.guarded_records(aio.load_matrix(args.records), n, args.priors, slack)
 
 
 def _cmd_align(args):
@@ -78,17 +79,21 @@ def _cmd_align(args):
 
 
 def _cmd_erase(args):
-    if args.method == "inlp":
-        for flag, value in (("--records", args.records), ("--priors", args.priors),
-                            ("--rank", args.rank)):
-            if value is not None:
-                raise InvalidInput(f"{flag} does not apply to --method inlp")
+    other_method = {
+        "inlp": (("--records", args.records), ("--priors", args.priors),
+                 ("--slack", args.slack), ("--rank", args.rank)),
+        "sal": (("--max-rounds", args.max_rounds),),
+    }[args.method]
+    for flag, value in other_method:
+        if value is not None:
+            raise InvalidInput(f"{flag} does not apply to --method {args.method}")
     x = aio.load_matrix(args.x)
     pi = aio.load_assignment(args.assignment)
     records = _records(args, x.shape[0]) if args.records else None
     rank = "auto" if args.rank is None else args.rank
+    max_rounds = 10 if args.max_rounds is None else args.max_rounds
     aio.erase(x, pi, args.method, args.out, args.format,
-              records=records, rank=rank, max_rounds=args.max_rounds)
+              records=records, rank=rank, max_rounds=max_rounds)
     print(f"erased matrix written to {Path(args.out) / f'x_erased.{args.format}'}")
     return 0
 
@@ -119,8 +124,8 @@ def _add_bounds_args(p):
     p.add_argument("--priors", type=float, nargs="*", default=None,
                    help="record priors in records-file row order (default: uniform; "
                         "synth writes the matching values to priors.csv)")
-    p.add_argument("--slack", type=float, default=0.2,
-                   help="fractional slack around the prior counts")
+    p.add_argument("--slack", type=float, default=None,
+                   help="fractional slack around the prior counts (default 0.2)")
 
 
 def build_parser():
@@ -167,7 +172,8 @@ def build_parser():
     _add_bounds_args(p)
     p.add_argument("--rank", type=_rank, default=None,
                    help="directions to drop (sal; default auto)")
-    p.add_argument("--max-rounds", type=int, default=10, help="probe rounds (inlp)")
+    p.add_argument("--max-rounds", type=int, default=None,
+                   help="probe rounds (inlp; default 10)")
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_erase)

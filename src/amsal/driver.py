@@ -112,14 +112,28 @@ def am_iterate(x, records, pi, cfg):
 
 def random_feasible_assignment(records, n, rng):
     """Random start: meet every lower bound, fill the rest proportionally
-    to the bound midpoints (capped at the upper bounds), then shuffle."""
+    to the bound midpoints (capped at the upper bounds), then shuffle.
+
+    Units are drawn as Generator.choice draws them, one uniform each
+    through the normalised cdf of the open records' weights, but in
+    chunks no larger than the least room left in an open record, so the
+    open set cannot change inside a chunk and the stream is consumed
+    unit by unit all the same.
+    """
     records.check_feasible(n)
+    upper = records.upper_bounds
     counts = records.lower_bounds.copy()
-    weights = (records.lower_bounds + records.upper_bounds) / 2.0
-    for _ in range(n - int(counts.sum())):
-        open_j = np.flatnonzero(counts < records.upper_bounds)
+    weights = (records.lower_bounds + upper) / 2.0
+    left = n - int(counts.sum())
+    while left > 0:
+        open_j = np.flatnonzero(counts < upper)
         w = weights[open_j]  # an open record has upper >= 1, so w.sum() > 0
-        counts[rng.choice(open_j, p=w / w.sum())] += 1
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        k = min(left, int((upper[open_j] - counts[open_j]).min()))
+        picks = cdf.searchsorted(rng.random(k), side="right")
+        counts[open_j] += np.bincount(picks, minlength=open_j.size)
+        left -= k
     slots = np.repeat(np.arange(records.m), counts)
     rng.shuffle(slots)
     return Assignment(slots)

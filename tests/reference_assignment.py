@@ -8,12 +8,16 @@ library's argmax-and-repair phase and dual screen, and that optimum is
 unique, so `solve_assignment` must return exactly the same map. The
 refine's arc gains are rebuilt densely from the costs here, not read from
 the library's move-gain structure, so the oracle shares none of that code.
+
+`reference_random_feasible_assignment` keeps the driver's random start
+in its plain form, one `Generator.choice` call per unit of count, for
+the chunked draw to be checked against.
 """
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from amsal.assignment import _best_paths, _integer_costs, _simple_path
+from amsal.assignment import Assignment, _best_paths, _integer_costs, _simple_path
 from amsal.linalg import as_matrix
 
 
@@ -101,3 +105,19 @@ def unscreened_lex_refine(c, lower, upper, pi):
                 pi[i] = b
                 break
     return pi
+
+
+def reference_random_feasible_assignment(records, n, rng):
+    """Meet every lower bound, then draw each further unit of count by
+    Generator.choice over the records still under their upper bounds,
+    weighted by the bound midpoints; shuffle the slots."""
+    records.check_feasible(n)
+    counts = records.lower_bounds.copy()
+    weights = (records.lower_bounds + records.upper_bounds) / 2.0
+    for _ in range(n - int(counts.sum())):
+        open_j = np.flatnonzero(counts < records.upper_bounds)
+        w = weights[open_j]
+        counts[rng.choice(open_j, p=w / w.sum())] += 1
+    slots = np.repeat(np.arange(records.m), counts)
+    rng.shuffle(slots)
+    return Assignment(slots)

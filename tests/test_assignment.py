@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -142,6 +144,67 @@ def test_matches_reference_solver_corpus():
         np.testing.assert_array_equal(
             solve_assignment(s, records).map, reference_assignment(s, records)
         )
+
+
+@st.composite
+def _priced_instances(draw):
+    """Small instances of every score regime, with an arbitrary price vector."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("continuous", "rounded", "tied")))
+    s = rng.standard_normal((n, m))
+    if kind == "rounded":
+        s = np.rint(2.0 * s)
+    elif kind == "tied":
+        s = rng.choice([-1.0, 0.0, 1.0], size=(n, m))
+    if draw(st.booleans()):
+        lower = upper = np.bincount(rng.integers(0, m, size=n), minlength=m)
+    else:
+        while True:
+            lower = rng.integers(0, n // m + 2, size=m)
+            upper = lower + rng.integers(0, n // 2 + 1, size=m)
+            if lower.sum() <= n <= np.minimum(upper, n).sum():
+                break
+    phi = np.array(draw(st.lists(st.integers(-2**34, 2**34), min_size=m, max_size=m)),
+                   dtype=np.int64)
+    return s, _records(m, lower, upper), phi
+
+
+def _solve_from(s, records, phi):
+    """The solver's map with the price start replaced by argmax(c - phi)."""
+    c = amsal.assignment._integer_costs(s)
+    lower, upper = records.lower_bounds.tolist(), records.upper_bounds.tolist()
+
+    def start(c, lower, upper):
+        return (c - phi).argmax(axis=1)
+
+    with mock.patch.object(amsal.assignment, "_price_start", start):
+        gains = amsal.assignment._initial_optimum(c, lower, upper)
+    return amsal.assignment._lex_refine(gains, lower, upper)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_priced_instances())
+def test_any_price_start_reaches_the_reference_map(instance):
+    s, records, phi = instance
+    expected = reference_assignment(s, records)
+    np.testing.assert_array_equal(_solve_from(s, records, phi), expected)
+    np.testing.assert_array_equal(_solve_from(s, records, 0 * phi), expected)
+
+
+def test_two_record_price_start_lands_inside_the_bounds():
+    n = 300
+    s = np.zeros((n, 2))
+    s[:, 1] = np.random.default_rng(18).permutation(n) - 100.0  # distinct gains, 199 positive
+    c = amsal.assignment._integer_costs(s)
+    # argmax(c) puts 101 inputs in record 0 and 199 in record 1
+    for lower, upper in (([0, 0], [300, 120]), ([0, 250], [300, 300]), ([0, 0], [50, 300]),
+                         ([150, 0], [300, 300]), ([100, 0], [300, 150]),
+                         ([150, 150], [150, 150])):
+        pi = amsal.assignment._price_start(c, lower, upper)
+        counts = np.bincount(pi, minlength=2)
+        assert np.all(counts >= lower) and np.all(counts <= upper), (lower, upper, counts)
 
 
 def _m2_oracle(c, lower, upper):

@@ -226,14 +226,31 @@ def test_pipeline_seed_labels_without_partial_selection_exit_2(tmp_path, capsys)
 
 def test_erase_inlp_refuses_sal_only_flags(tmp_path, capsys):
     out = _synth(tmp_path, n=60, seed=5)
-    base = ["erase", "--x", str(out / "x.bin"), "--assignment", str(out / "truth.csv"),
-            "--method", "inlp", "--out", str(tmp_path / "e")]
-    for flag, extra in (("--records", [str(out / "z_records.bin")]), ("--priors", ["0.7", "0.3"]),
-                        ("--priors", []), ("--rank", ["2"]), ("--rank", ["auto"])):
-        assert main(base + [flag] + extra) == 2
-        assert f"InvalidInput: {flag} does not apply to --method inlp" in capsys.readouterr().err
+    records = str(out / "z_records.bin")
+    # a missing x file shows that each flag is refused before any file is loaded
+    for x in (str(tmp_path / "missing.bin"), str(out / "x.bin")):
+        base = ["erase", "--x", x, "--assignment", str(out / "truth.csv"),
+                "--out", str(tmp_path / "e")]
+        for method, flag, extra in (
+            ("inlp", "--records", [records]), ("inlp", "--priors", ["0.7", "0.3"]),
+            ("inlp", "--priors", []), ("inlp", "--slack", ["0.5"]), ("inlp", "--rank", ["2"]),
+            ("inlp", "--rank", ["auto"]),
+            ("sal", "--max-rounds", ["3"]),
+        ):
+            sal_args = ["--records", records] if method == "sal" else []
+            assert main(base + ["--method", method, flag] + extra + sal_args) == 2
+            err = capsys.readouterr().err
+            assert f"InvalidInput: {flag} does not apply to --method {method}" in err
     assert not (tmp_path / "e").exists()
-    assert main(base) == 0
+    assert main(base + ["--method", "inlp"]) == 0
+    assert main(base + ["--method", "sal", "--records", records, "--slack", "0.3"]) == 0
+
+
+def test_synth_unwritable_output_file_exits_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "s"
+    (out / "states.csv").mkdir(parents=True)
+    assert main(["synth", "--out", str(out), "--n", "20"]) == 2
+    assert f"InvalidInput: {out / 'states.csv'}: Is a directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["align", "erase", "pipeline", "eval"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_assignment import reference_random_feasible_assignment
 
 from amsal import (
     AmsalConfig,
@@ -154,6 +155,21 @@ def test_random_feasible_assignment_respects_bounds():
     for _ in range(50):
         pi = random_feasible_assignment(records, 8, rng)
         assert pi.satisfies(records)
+
+
+def test_random_feasible_assignment_matches_per_unit_draws_corpus():
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        m = int(rng.integers(2, 9))
+        n = int(rng.integers(1, 3001)) if trial % 10 == 0 else int(rng.integers(1, 301))
+        raw = rng.uniform(0.05, 1.0, size=m)
+        lower, upper = bounds_from_priors(raw / raw.sum(), n, float(rng.uniform(0.0, 0.9)))
+        records = GuardedRecords(rng.standard_normal((m, 2)), lower, upper)
+        chunked, per_unit = np.random.default_rng(trial), np.random.default_rng(trial)
+        pi = random_feasible_assignment(records, n, chunked)
+        expected = reference_random_feasible_assignment(records, n, per_unit)
+        np.testing.assert_array_equal(pi.map, expected.map)
+        assert chunked.bit_generator.state == per_unit.bit_generator.state
 
 
 def _result(objective, seed, pi):
