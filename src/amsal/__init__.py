@@ -6,7 +6,6 @@ from .assignment import (
     GuardedRecords,
     assignment_objective,
     bounds_from_priors,
-    brute_force_assignment,
     score_matrix,
     solve_assignment,
 )
@@ -26,7 +25,6 @@ from .errors import (
     InfeasibleBounds,
     InvalidInput,
     NoCandidates,
-    TooLarge,
 )
 from .linalg import (
     SvdResult,

@@ -4,28 +4,32 @@ The optimization is: choose pi maximizing sum_i s[i, pi(i)] subject to
 per-record count bounds lower[j] <= #{i: pi(i) = j} <= upper[j]. The
 constraint matrix of this program is totally unimodular, so the integer
 optimum coincides with the LP optimum and can be found by network-flow
-reasoning instead of a general ILP. Both phases of the solver work on
-the condensed residual graph: one node per record (plus a slack node for
-the bounds), where arc u -> v carries the best gain of moving a single
-input from record u to record v. One `_MoveGains` object keeps those arc
-gains for both phases, and every move of an input goes through it.
+reasoning instead of a general ILP. The solver keeps a record price
+phi[j] next to the map: the LP dual of the count bounds, measured
+against a slack node whose potential absorbs the bound slack.
 
-1. `_initial_optimum` starts from a price start: the row-wise argmax of
-   c - phi, where one vectorized pass sets the price phi[j] of each
-   record whose count is out of bounds so that its count lands on the
-   violated bound (a dual start in the spirit of auction methods for
-   transportation problems; Bertsekas & Castanon, 1989). Any such
-   argmax is optimal among the maps with its own counts. The bound
-   repair then shifts one unit of count at a time along the best chain
-   of moves between two records until the bounds hold and no shift
-   gains (successive shortest paths; Ahuja, Magnanti & Orlin, Network
-   Flows, 1993, ch. 9); after the price start it has few units left.
-2. `_lex_refine` continues from the same `_MoveGains` and rewrites that
-   optimum into the lexicographically smallest optimal map, so results
-   do not depend on how the optimum was reached. It freezes inputs in
-   index order, and frozen inputs drop out of the arc gains. Dual
-   potentials of the optimum screen the inputs: only an input with an
-   equally good alternative in a smaller record gets a path search.
+1. `_price_start` takes the row-wise argmax of c - phi, where one
+   vectorized pass sets the price of each record whose count is out of
+   bounds so that its count lands on the violated bound (a dual start in
+   the spirit of auction methods for transportation problems; Bertsekas
+   & Castanon, 1989). If every count is within bounds, at its upper
+   bound where phi > 0 and at its lower bound where phi < 0, then
+   complementary slackness holds: the map is optimal and the prices
+   (slack potential 0) are optimal duals, and the solver goes straight
+   to step 2. Otherwise `_initial_optimum` repairs the bounds on the
+   condensed residual graph, one node per record, where arc u -> v
+   carries the best gain of moving a single input from u to v (kept by
+   `_MoveGains`): it shifts one unit of count at a time along the best
+   chain of moves until the bounds hold and no shift gains (successive
+   shortest paths; Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9),
+   and takes optimal duals from the longest paths of the final residual
+   graph plus a slack node.
+2. `_lex_refine` rewrites that optimum into the lexicographically
+   smallest optimal map, so results do not depend on how the optimum was
+   reached. Complementary slackness holds between the duals and every
+   optimal map, so the duals decide each tie: an input moves to a smaller
+   record only along tight edges, found by a reachability search on one
+   tight graph of at most m + 1 nodes.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
 optimality reasoning below is exact integer arithmetic on those costs.
@@ -34,16 +38,14 @@ optimality reasoning below is exact integer arithmetic on those costs.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmsalError, InfeasibleBounds, InvalidInput, TooLarge
-from .linalg import as_matrix
+from .errors import AmsalError, InfeasibleBounds, InvalidInput
+from .linalg import _as_index_map, as_matrix
 
 _SCALE = float(2**32)
-_BRUTE_FORCE_CAP = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +102,7 @@ class Assignment:
         idx = np.asarray(self.map)
         if idx.ndim != 1 or idx.size < 1:
             raise InvalidInput("assignment map must be a non-empty 1-d index array")
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise InvalidInput("assignment map must hold integers")
-        idx = idx.astype(np.int64)
-        if idx.min() < 0:
-            raise InvalidInput("assignment indices must be non-negative")
+        idx = _as_index_map(idx, idx.size)
         idx.setflags(write=False)
         object.__setattr__(self, "map", idx)
 
@@ -161,8 +159,17 @@ def solve_assignment(s, records):
     records.check_feasible(n)
     c = _integer_costs(s)
     lower, upper = records.lower_bounds.tolist(), records.upper_bounds.tolist()
-    gains = _initial_optimum(c, lower, upper)
-    return _checked_assignment(_lex_refine(gains, lower, upper), records)
+    pi, phi = _price_start(c, lower, upper)
+    phi_slack = 0
+    counts = np.bincount(pi, minlength=m)
+    # complementary slackness: phi with slack potential 0 are optimal duals of pi
+    certified = np.all(
+        (counts >= lower) & (counts <= upper)
+        & ((phi <= 0) | (counts == upper)) & ((phi >= 0) | (counts == lower))
+    )
+    if not certified:
+        pi, phi, phi_slack = _initial_optimum(c, pi, lower, upper)
+    return _checked_assignment(_lex_refine(c, pi, phi, phi_slack, lower, upper), records)
 
 
 def _checked_assignment(pi, records):
@@ -179,47 +186,48 @@ def _checked_assignment(pi, records):
 
 
 class _MoveGains:
-    """Best gain c[i, v] - c[i, u] over the unfrozen inputs i now in record u.
+    """Best gain c[i, v] - c[i, u] over the inputs i now in record u.
 
-    Both solver phases share one instance: the bound repair moves inputs
-    through it, then the lex refine freezes inputs (an input is never
-    unfrozen) and moves the others. For each pair (u, v), inputs that
-    started in u are read from one static order sorted by decreasing gain,
-    and inputs that moved into u later from a max-heap. Entries of inputs
-    that have since left u or been frozen are skipped lazily, so moving an
-    input costs O(m log n) and reading a pair O(1) amortized. The record
-    counts of pi are kept alongside.
+    The bound repair moves inputs through it. For each pair (u, v), inputs
+    that started in u are read from one static order sorted by decreasing
+    gain, and inputs that moved into u later from a max-heap. Entries of
+    inputs that have since left u are skipped lazily, so moving an input
+    costs O(m log n) and reading a pair O(1) amortized. The record counts
+    of pi are kept alongside.
     """
 
     def __init__(self, c, pi):
         self.c = c
         self.pi = pi
-        self.frozen = np.zeros(pi.shape[0], dtype=bool)
-        m = c.shape[1]
+        n, m = c.shape
         self.counts = np.bincount(pi, minlength=m).tolist()
+        gains = c - c[np.arange(n), pi][:, None]
+        # One sort puts every column in (record, decreasing gain, index)
+        # order: costs lie within +-2^32, so |gain| <= 2^33 and the record
+        # term pi * 2^35 outweighs any gain.
+        orders = np.argsort(pi[:, None] * 2**35 - gains, axis=0, kind="stable")
+        gains = np.take_along_axis(gains, orders, 0)
         self.static = {}
         self.heaps = {}
+        end = 0
         for u in range(m):
-            rows = np.flatnonzero(pi == u)
-            gains = c[rows] - c[rows, u][:, None]
-            orders = np.argsort(-gains, axis=0, kind="stable")
+            start, end = end, end + self.counts[u]
             for v in range(m):
                 if v != u:
-                    order = orders[:, v]
-                    self.static[u, v] = [rows[order], gains[order, v], 0]
+                    self.static[u, v] = [orders[start:end, v], gains[start:end, v], 0]
                     self.heaps[u, v] = []
 
     def best(self, u, v):
         """(gain, input) of the best move out of u into v, or (None, -1) if
-        u holds no unfrozen input."""
-        pi, frozen = self.pi, self.frozen
+        u is empty."""
+        pi = self.pi
         entry = self.static[u, v]
         rows, gains, pos = entry
-        while pos < rows.size and (pi[rows[pos]] != u or frozen[rows[pos]]):
+        while pos < rows.size and pi[rows[pos]] != u:
             pos += 1
         entry[2] = pos
         heap = self.heaps[u, v]
-        while heap and (pi[heap[0][1]] != u or frozen[heap[0][1]]):
+        while heap and pi[heap[0][1]] != u:
             heapq.heappop(heap)
         if pos < rows.size and (not heap or gains[pos] >= -heap[0][0]):
             return int(gains[pos]), int(rows[pos])
@@ -239,7 +247,7 @@ class _MoveGains:
 
 
 def _price_start(c, lower, upper):
-    """Start map argmax(c - phi) for record prices phi that move counts onto the bounds.
+    """Start map argmax(c - phi) and the record prices phi that produced it.
 
     The prices start at zero. One pass in index order visits each record
     j whose count under argmax(c - phi) is outside its bounds and sets
@@ -268,25 +276,29 @@ def _price_start(c, lower, upper):
         reduced[:, j] = c[:, j] - phi[j]
         pi = reduced.argmax(axis=1)
         counts = np.bincount(pi, minlength=m)
-    return pi
+    return pi, phi
 
 
-def _initial_optimum(c, lower, upper):
-    """One optimal map: the price start, then bound repair on the record graph.
+def _initial_optimum(c, start, lower, upper):
+    """One optimal map from the start map, with optimal dual potentials.
 
-    Each step shifts one unit of count from record a to record b along the
-    best a -> b chain of single-input moves. It picks the transfer that
-    most reduces the total bound violation and, among those, the one with
-    the largest gain; it stops when no transfer lowers the violation and
-    none keeps it level with a positive gain. This is cycle cancelling
-    with convex penalties, so the result is optimal. The start, an argmax
-    of c - phi, has a record graph free of positive cycles, and augmenting
-    along best paths keeps it so, which makes the path gains well defined
-    at every step. Returns the _MoveGains holding the optimum, for the lex
-    refine to continue from.
+    Bound repair on the record graph: each step shifts one unit of count
+    from record a to record b along the best a -> b chain of single-input
+    moves. It picks the transfer that most reduces the total bound
+    violation and, among those, the one with the largest gain; it stops
+    when no transfer lowers the violation and none keeps it level with a
+    positive gain. This is cycle cancelling with convex penalties, so the
+    result is optimal. The start, an argmax of c - phi, has a record graph
+    free of positive cycles, and augmenting along best paths keeps it so,
+    which makes the path gains well defined at every step.
+
+    Returns (pi, phi, phi_slack): the optimum and optimal duals, the
+    longest-path potentials of its residual graph's record nodes and of a
+    slack node that absorbs the bound slack, read off the final step's
+    all-pairs best paths.
     """
     m = c.shape[1]
-    gains = _MoveGains(c, _price_start(c, lower, upper))
+    gains = _MoveGains(c, start)
     counts = gains.counts
     W = [[None] * m for _ in range(m)]
     witness = [[-1] * m for _ in range(m)]
@@ -308,34 +320,24 @@ def _initial_optimum(c, lower, upper):
                 if best is None or key < best[0]:
                     best = (key, a, b)
         if best is None or best[0] >= (0, 0):
-            return gains
+            break
         _, a, b = best
         seq = _simple_path(via, a, b)
         for u, v in zip(seq, seq[1:]):
             gains.move(witness[u][v], v)
         stale = seq  # only records on the path changed members
-
-
-def _residual_graph(gains, lower, upper):
-    """Best single-move gains between record nodes plus a slack node m.
-
-    Arc u -> v moves the best unfrozen input out of u into v; arcs to and
-    from the slack node model raising u's count (if below upper[u]) or
-    lowering it (if above lower[u]). Returns (W, witness) where W[u][v]
-    is the arc gain (None if unavailable) and witness the moved input.
-    """
-    m = len(gains.counts)
-    W = [[None] * (m + 1) for _ in range(m + 1)]
-    witness = [[-1] * (m + 1) for _ in range(m + 1)]
-    for u in range(m):
-        for v in range(m):
-            if v != u:
-                W[u][v], witness[u][v] = gains.best(u, v)
-        if gains.counts[u] < upper[u]:
-            W[u][m] = 0
-        if gains.counts[u] > lower[u]:
-            W[m][u] = 0
-    return W, witness
+    # Longest paths from a virtual root with a zero arc to every node of the
+    # residual graph, whose slack node has arcs u -> slack where counts[u] <
+    # upper[u] and slack -> u where counts[u] > lower[u]; with no positive
+    # cycle, a longest path passes the slack node at most once.
+    reach = [max(D[u][v] for u in range(m) if D[u][v] is not None) for v in range(m)]
+    phi_slack = max([0] + [reach[u] for u in range(m) if counts[u] < upper[u]])
+    phi = [
+        max([reach[v]] + [phi_slack + D[u][v] for u in range(m)
+                          if counts[u] > lower[u] and D[u][v] is not None])
+        for v in range(m)
+    ]
+    return gains.pi, np.array(phi, dtype=np.int64), phi_slack
 
 
 def _best_paths(W):
@@ -389,98 +391,89 @@ def _simple_path(via, u, v):
     return seq
 
 
-def _lex_refine(gains, lower, upper):
-    """Rewrite the optimal map held by gains into the lexicographically
-    smallest optimal map.
+def _lex_refine(c, pi, phi, phi_slack, lower, upper):
+    """Rewrite the optimal map pi into the lexicographically smallest
+    optimal map, given optimal duals: record prices phi and the slack
+    node's potential phi_slack.
 
-    Inputs are fixed (frozen) in index order. Input i may move from its
-    group a to a smaller group b exactly when the move plus the cheapest
-    rebalancing chain of unfrozen inputs from b back to a has zero total
-    gain; optimality of the current map guarantees the total can never be
-    positive.
+    By complementary slackness the optimal maps are exactly the maps
+    that use only tight edges (c[i, j] - phi[j] maximal over j) and keep
+    each count at its upper bound where phi[j] > phi_slack and at its
+    lower bound where phi[j] < phi_slack. Inputs are fixed in index
+    order. Input i in record a may move to a smaller record b exactly
+    when i is tight at b and b reaches a in the tight graph of the
+    inputs after i, whose arcs are:
 
-    Potentials phi (longest paths from a virtual root in the residual
-    graph of the optimum) are optimal duals, and every optimal map uses
-    only tight edges: c[i, j] - phi[j] maximal over j. An input already in
-    its smallest tight record cannot move, so only the others get path work.
+    - u -> v when some input after i in u is tight at v (moving it);
+    - u -> slack when count[u] < upper[u] and phi[u] == phi_slack;
+    - slack -> v when count[v] > lower[v] and phi[v] == phi_slack.
+
+    The smallest such b wins, and the inputs on a path from b to a move
+    one arc each. An input already in its smallest tight record cannot
+    move, and an input tight at one record only is never moved or used,
+    so the search covers the inputs tight at two or more records.
     """
-    c, pi = gains.c, gains.pi
     m = c.shape[1]
-    D, _ = _best_paths(_residual_graph(gains, lower, upper)[0])
-    phi = np.array(
-        [max(D[u][v] for u in range(m + 1) if D[u][v] is not None) for v in range(m)],
-        dtype=np.int64,
-    )
     reduced = c - phi
-    first_tight = (reduced == reduced.max(axis=1, keepdims=True)).argmax(axis=1)
-    i = -1
-    while True:
-        rest = np.flatnonzero(pi[i + 1 :] != first_tight[i + 1 :])
-        if not rest.size:
-            return pi
-        i += 1 + int(rest[0])
-        gains.frozen[: i + 1] = True
+    tight = reduced == reduced.max(axis=1, keepdims=True)
+    multi = np.flatnonzero(np.count_nonzero(tight, axis=1) > 1)
+    first_tight = tight.argmax(axis=1)
+    if not np.any(pi[multi] != first_tight[multi]):
+        return pi
+    counts = np.bincount(pi, minlength=m).tolist()
+    slack_ok = (phi == phi_slack).tolist()
+    # witnesses[u][v]: inputs that were in u when listed, tight at v; the
+    # ones that left u or are fixed are dropped lazily
+    witnesses = [[[] for _ in range(m)] for _ in range(m)]
+    rows, cols = np.nonzero(tight[multi])
+    rows = multi[rows]
+    for k, u, v in zip(rows.tolist(), pi[rows].tolist(), cols.tolist()):
+        if v != u:
+            witnesses[u][v].append(k)
+
+    def witness(u, v, i):
+        stack = witnesses[u][v]
+        while stack and (stack[-1] <= i or pi[stack[-1]] != u):
+            stack.pop()
+        return stack[-1] if stack else -1
+
+    def arc(u, v, i):
+        if u == m:
+            return slack_ok[v] and counts[v] > lower[v]
+        if v == m:
+            return slack_ok[u] and counts[u] < upper[u]
+        return witness(u, v, i) >= 0
+
+    def move(k, v):
+        counts[pi[k]] -= 1
+        counts[v] += 1
+        pi[k] = v
+        for w in np.flatnonzero(tight[k]).tolist():
+            if w != v:
+                witnesses[v][w].append(k)
+
+    for i in multi.tolist():
         a = int(pi[i])
-        W, witness = _residual_graph(gains, lower, upper)
-        D, via = _best_paths(W)
-        base = int(c[i, a])
-        for b in range(a):
-            if D[b][a] is not None and int(c[i, b]) - base + D[b][a] == 0:
-                seq = _simple_path(via, b, a)
-                for u, v in zip(seq, seq[1:]):
-                    if u < m and v < m:
-                        gains.move(witness[u][v], v)
-                gains.move(i, b)
-                break
-
-
-def brute_force_assignment(s, records):
-    """Exhaustive oracle over all feasible maps, lexicographic order.
-
-    Mirrors solve_assignment exactly (same integer costs, same tie rule:
-    the first map attaining the maximum wins), so the two must agree on
-    both objective and map wherever this search is tractable.
-    """
-    s = as_matrix(s, "s")
-    n, m = s.shape
-    if m != records.m:
-        raise InvalidInput(f"score matrix has {m} columns but {records.m} records")
-    if m**n > _BRUTE_FORCE_CAP:
-        raise TooLarge(f"{m}^{n} feasible-map candidates exceed the enumeration cap")
-    records.check_feasible(n)
-    c = _integer_costs(s)
-    lower = records.lower_bounds
-    upper = np.minimum(records.upper_bounds, n)
-
-    best_val = -math.inf
-    best = None
-    counts = np.zeros(m, dtype=np.int64)
-    pi = np.zeros(n, dtype=np.int64)
-
-    def rest_feasible(depth):
-        deficit = int(np.maximum(lower - counts, 0).sum())
-        return deficit <= n - depth
-
-    def recurse(depth, value):
-        nonlocal best_val, best
-        if depth == n:
-            if value > best_val:
-                best_val = value
-                best = pi.copy()
-            return
-        for j in range(m):
-            if counts[j] >= upper[j]:
-                continue
-            counts[j] += 1
-            pi[depth] = j
-            if rest_feasible(depth + 1):
-                recurse(depth + 1, value + int(c[depth, j]))
-            counts[j] -= 1
-
-    recurse(0, 0)
-    if best is None:
-        raise AmsalError("exhaustive search found no map within the count bounds")
-    return _checked_assignment(best, records)
+        if a == first_tight[i]:
+            continue
+        toward = {a: a}  # node -> next node on a path to a
+        queue = [a]
+        for v in queue:
+            for u in range(m + 1):
+                if u not in toward and arc(u, v, i):
+                    toward[u] = v
+                    queue.append(u)
+        b = next((b for b in range(a) if tight[i, b] and b in toward), None)
+        if b is None:
+            continue
+        path = [b]
+        while path[-1] != a:
+            path.append(toward[path[-1]])
+        movers = [(witness(u, v, i), v) for u, v in zip(path, path[1:]) if u < m and v < m]
+        for k, v in movers:
+            move(k, v)
+        move(i, b)
+    return pi
 
 
 def bounds_from_priors(priors, n, slack):

@@ -61,7 +61,7 @@ def _records(args, n):
 def _cmd_align(args):
     x = aio.load_matrix(args.x)
     records = _records(args, x.shape[0])
-    truth = aio.load_assignment(args.truth) if args.truth else None
+    truth = aio.load_assignment(args.truth, x.shape[0], records.m) if args.truth else None
     seed_labels = aio.load_seed_labels(args.labels) if args.labels else None
     cfg = AmsalConfig(
         max_iterations=args.iterations,
@@ -88,8 +88,8 @@ def _cmd_erase(args):
         if value is not None:
             raise InvalidInput(f"{flag} does not apply to --method {args.method}")
     x = aio.load_matrix(args.x)
-    pi = aio.load_assignment(args.assignment)
     records = _records(args, x.shape[0]) if args.records else None
+    pi = aio.load_assignment(args.assignment, x.shape[0], records.m if records else None)
     rank = "auto" if args.rank is None else args.rank
     max_rounds = 10 if args.max_rounds is None else args.max_rounds
     aio.erase(x, pi, args.method, args.out, args.format,

@@ -13,10 +13,6 @@ class InfeasibleBounds(AmsalError):
     """The per-record count bounds admit no total assignment."""
 
 
-class TooLarge(AmsalError):
-    """An exhaustive search was requested on a space that is too big."""
-
-
 class FormatError(AmsalError):
     """A file does not conform to one of the supported on-disk formats."""
 

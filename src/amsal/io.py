@@ -28,7 +28,7 @@ import numpy as np
 from .assignment import Assignment, GuardedRecords, bounds_from_priors
 from .driver import AmsalConfig, alignment_accuracy, run_amsal
 from .errors import FormatError, InvalidInput
-from .linalg import as_matrix
+from .linalg import _as_index_map, as_matrix
 from .metrics import EvalReport, accuracy, f1_macro, mae, mae_gap, tpr_gap_rms
 from .removal import INLP, SAL, Eraser, apply_eraser, fit_inlp, fit_logistic_probe, fit_sal
 
@@ -181,8 +181,17 @@ def save_assignment(pi, path):
             fh.write(f"{int(j)}\n")
 
 
-def load_assignment(path):
-    return Assignment(np.asarray(load_labels(path), dtype=np.int64))
+def load_assignment(path, n=None, m=None):
+    """Record ids, one per line. With n given the map must cover exactly
+    n inputs, and with m its ids must lie in [0, m); errors name the path
+    and the first bad row."""
+    try:
+        pi = Assignment(load_labels(path))
+        if n is not None:
+            _as_index_map(pi, n, m)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from None
+    return pi
 
 
 def load_labels(path):
@@ -488,7 +497,7 @@ def run_pipeline(cfg):
     x = load_matrix(cfg.x)
     n = x.shape[0]
     records = guarded_records(load_matrix(cfg.records), n, cfg.priors, cfg.slack)
-    truth = load_assignment(cfg.truth) if cfg.truth else None
+    truth = load_assignment(cfg.truth, n, records.m) if cfg.truth else None
     seed_labels = load_seed_labels(cfg.seed_labels) if cfg.seed_labels else None
     amsal_cfg = AmsalConfig(
         max_iterations=cfg.max_iterations,

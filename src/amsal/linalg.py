@@ -31,15 +31,26 @@ def as_matrix(a, name="matrix"):
 
 
 def _as_index_map(pi, n, m=None):
-    """Accept an Assignment or a plain index array; return int64 indices of length n."""
+    """Accept an Assignment or a plain index array; return int64 indices of length n.
+
+    Errors name the first bad row: a missing or extra one, or a record id
+    outside [0, m).
+    """
     idx = np.asarray(getattr(pi, "map", pi))
-    if idx.ndim != 1 or idx.shape[0] != n:
-        raise InvalidInput(f"assignment must map all {n} rows, got shape {idx.shape}")
+    if idx.ndim != 1:
+        raise InvalidInput(f"assignment must be a 1-d index array, got shape {idx.shape}")
+    if idx.shape[0] != n:
+        k = idx.shape[0]
+        raise InvalidInput(f"row {min(k, n)}: the map has {k} rows, expected {n}")
     if not np.issubdtype(idx.dtype, np.integer):
         raise InvalidInput("assignment indices must be integers")
     idx = idx.astype(np.int64)
     if idx.min() < 0 or (m is not None and idx.max() >= m):
-        raise InvalidInput("assignment index out of range")
+        if m is None:
+            r = int(np.argmax(idx < 0))
+            raise InvalidInput(f"row {r}: record id {idx[r]} is negative")
+        r = int(np.argmax((idx < 0) | (idx >= m)))
+        raise InvalidInput(f"row {r}: record id {idx[r]} outside [0, {m})")
     return idx
 
 

@@ -9,16 +9,34 @@ unique, so `solve_assignment` must return exactly the same map. The
 refine's arc gains are rebuilt densely from the costs here, not read from
 the library's move-gain structure, so the oracle shares none of that code.
 
+`brute_force_assignment` enumerates every feasible map of a tiny
+instance, as an oracle that shares no reasoning with either solver.
+
 `reference_random_feasible_assignment` keeps the driver's random start
 in its plain form, one `Generator.choice` call per unit of count, for
 the chunked draw to be checked against.
 """
 
+import math
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from amsal.assignment import Assignment, _best_paths, _integer_costs, _simple_path
+from amsal.assignment import (
+    Assignment,
+    _best_paths,
+    _checked_assignment,
+    _integer_costs,
+    _simple_path,
+)
+from amsal.errors import AmsalError, InvalidInput
 from amsal.linalg import as_matrix
+
+BRUTE_FORCE_CAP = 10**7
+
+
+class TooLarge(AmsalError):
+    """An exhaustive search was requested on a space that is too big."""
 
 
 def reference_assignment(s, records):
@@ -105,6 +123,55 @@ def unscreened_lex_refine(c, lower, upper, pi):
                 pi[i] = b
                 break
     return pi
+
+
+def brute_force_assignment(s, records):
+    """Exhaustive oracle over all feasible maps, lexicographic order.
+
+    Mirrors solve_assignment exactly (same integer costs, same tie rule:
+    the first map attaining the maximum wins), so the two must agree on
+    both objective and map wherever this search is tractable.
+    """
+    s = as_matrix(s, "s")
+    n, m = s.shape
+    if m != records.m:
+        raise InvalidInput(f"score matrix has {m} columns but {records.m} records")
+    if m**n > BRUTE_FORCE_CAP:
+        raise TooLarge(f"{m}^{n} feasible-map candidates exceed the enumeration cap")
+    records.check_feasible(n)
+    c = _integer_costs(s)
+    lower = records.lower_bounds
+    upper = np.minimum(records.upper_bounds, n)
+
+    best_val = -math.inf
+    best = None
+    counts = np.zeros(m, dtype=np.int64)
+    pi = np.zeros(n, dtype=np.int64)
+
+    def rest_feasible(depth):
+        deficit = int(np.maximum(lower - counts, 0).sum())
+        return deficit <= n - depth
+
+    def recurse(depth, value):
+        nonlocal best_val, best
+        if depth == n:
+            if value > best_val:
+                best_val = value
+                best = pi.copy()
+            return
+        for j in range(m):
+            if counts[j] >= upper[j]:
+                continue
+            counts[j] += 1
+            pi[depth] = j
+            if rest_feasible(depth + 1):
+                recurse(depth + 1, value + int(c[depth, j]))
+            counts[j] -= 1
+
+    recurse(0, 0)
+    if best is None:
+        raise AmsalError("exhaustive search found no map within the count bounds")
+    return _checked_assignment(best, records)
 
 
 def reference_random_feasible_assignment(records, n, rng):

@@ -10,6 +10,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+from reference_assignment import brute_force_assignment
 
 from amsal import (
     AmsalConfig,
@@ -21,7 +22,6 @@ from amsal import (
     as_records,
     assignment_objective,
     bounds_from_priors,
-    brute_force_assignment,
     center_columns,
     cross_covariance,
     fit_inlp,

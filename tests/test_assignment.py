@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_assignment import reference_assignment
+from reference_assignment import TooLarge, brute_force_assignment, reference_assignment
 
 import amsal.assignment
 from amsal import (
@@ -12,10 +12,8 @@ from amsal import (
     GuardedRecords,
     InfeasibleBounds,
     InvalidInput,
-    TooLarge,
     assignment_objective,
     bounds_from_priors,
-    brute_force_assignment,
     score_matrix,
     solve_assignment,
     svd,
@@ -172,16 +170,13 @@ def _priced_instances(draw):
 
 
 def _solve_from(s, records, phi):
-    """The solver's map with the price start replaced by argmax(c - phi)."""
-    c = amsal.assignment._integer_costs(s)
-    lower, upper = records.lower_bounds.tolist(), records.upper_bounds.tolist()
+    """The solver's map with the price start replaced by (argmax(c - phi), phi)."""
 
     def start(c, lower, upper):
-        return (c - phi).argmax(axis=1)
+        return (c - phi).argmax(axis=1), phi
 
     with mock.patch.object(amsal.assignment, "_price_start", start):
-        gains = amsal.assignment._initial_optimum(c, lower, upper)
-    return amsal.assignment._lex_refine(gains, lower, upper)
+        return solve_assignment(s, records).map
 
 
 @settings(max_examples=120, deadline=None)
@@ -193,6 +188,56 @@ def test_any_price_start_reaches_the_reference_map(instance):
     np.testing.assert_array_equal(_solve_from(s, records, 0 * phi), expected)
 
 
+@st.composite
+def _certified_instances(draw):
+    """Prices phi, some of them zero, and bounds under which argmax(c - phi)
+    meets complementary slackness with phi: each count sits on its upper
+    bound where phi > 0, on its lower bound where phi < 0, and anywhere
+    inside the bounds where phi = 0."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("continuous", "rounded", "tied")))
+    s = rng.standard_normal((n, m))
+    if kind == "rounded":
+        s = np.rint(2.0 * s)
+    elif kind == "tied":
+        s = rng.choice([-1.0, 0.0, 1.0], size=(n, m))
+    c = amsal.assignment._integer_costs(s)
+    # steps of half the largest cost put some prices exactly on cost ties
+    phi = rng.integers(-2, 3, size=m) * (int(np.abs(c).max()) // 2)
+    counts = np.bincount((c - phi).argmax(axis=1), minlength=m)
+    lower = np.where(phi < 0, counts, rng.integers(0, counts + 1))
+    upper = np.where(phi > 0, counts, counts + rng.integers(0, n + 1, size=m))
+    return s, _records(m, lower, upper), phi
+
+
+@settings(max_examples=150, deadline=None)
+@given(_certified_instances())
+def test_certified_price_start_reaches_the_reference_map(instance):
+    s, records, phi = instance
+    expected = reference_assignment(s, records)
+    with mock.patch.object(amsal.assignment, "_initial_optimum") as repair:
+        np.testing.assert_array_equal(_solve_from(s, records, phi), expected)
+    assert repair.call_count == 0
+    np.testing.assert_array_equal(solve_assignment(s, records).map, expected)
+
+
+def test_certified_start_skips_the_repair_and_path_searches():
+    n = 300
+    s = np.random.default_rng(19).standard_normal((n, 2))
+    s[:, 1] += 0.2  # argmax puts ~56% in record 1, above its upper bound
+    records = _records(2, *bounds_from_priors([0.5, 0.5], n, 0.05))
+    paths = mock.Mock(wraps=amsal.assignment._best_paths)
+    gains = mock.Mock(wraps=amsal.assignment._MoveGains)
+    with mock.patch.multiple(amsal.assignment, _best_paths=paths, _MoveGains=gains):
+        pi = solve_assignment(s, records)
+    assert paths.call_count == 0 and gains.call_count == 0
+    c = amsal.assignment._integer_costs(s)
+    expected = _m2_oracle(c, records.lower_bounds, records.upper_bounds)
+    np.testing.assert_array_equal(pi.map, expected)
+
+
 def test_two_record_price_start_lands_inside_the_bounds():
     n = 300
     s = np.zeros((n, 2))
@@ -202,7 +247,7 @@ def test_two_record_price_start_lands_inside_the_bounds():
     for lower, upper in (([0, 0], [300, 120]), ([0, 250], [300, 300]), ([0, 0], [50, 300]),
                          ([150, 0], [300, 300]), ([100, 0], [300, 150]),
                          ([150, 150], [150, 150])):
-        pi = amsal.assignment._price_start(c, lower, upper)
+        pi, _ = amsal.assignment._price_start(c, lower, upper)
         counts = np.bincount(pi, minlength=2)
         assert np.all(counts >= lower) and np.all(counts <= upper), (lower, upper, counts)
 
@@ -254,7 +299,10 @@ def test_two_records_beyond_former_size_cap():
 
 
 def test_out_of_bounds_solver_output_raises(monkeypatch):
-    monkeypatch.setattr(amsal.assignment, "_lex_refine", lambda gains, lower, upper: 0 * gains.pi)
+    def refine(c, pi, phi, phi_slack, lower, upper):
+        return 0 * pi
+
+    monkeypatch.setattr(amsal.assignment, "_lex_refine", refine)
     with pytest.raises(AmsalError, match=r"record 0: solver assigned 4 inputs, outside \[1, 3\]"):
         solve_assignment(np.zeros((4, 2)), _records(2, [1, 1], [3, 3]))
 

@@ -246,6 +246,29 @@ def test_erase_inlp_refuses_sal_only_flags(tmp_path, capsys):
     assert main(base + ["--method", "sal", "--records", records, "--slack", "0.3"]) == 0
 
 
+@pytest.mark.parametrize("method, bad_row, message", [
+    ("sal", "5", "row 49: record id 5 outside [0, 2)"),
+    ("inlp", "-1", "row 49: record id -1 is negative"),
+    ("sal", None, "row 48: the map has 48 rows, expected 50"),
+    ("inlp", None, "row 48: the map has 48 rows, expected 50"),
+], ids=["id-past-records", "negative-id", "short-sal", "short-inlp"])
+def test_erase_bad_assignment_exits_2_naming_file_and_row(tmp_path, capsys, method, bad_row,
+                                                          message):
+    data = _synth(tmp_path, n=50, seed=7)  # 2 records
+    ids = [str(j) for j in load_assignment(data / "truth.csv").map.tolist()]
+    pi = tmp_path / "assignment.csv"
+    pi.write_text("\n".join(ids[:49] + [bad_row] if bad_row else ids[:48]) + "\n")
+    argv = ["erase", "--x", str(data / "x.bin"), "--assignment", str(pi),
+            "--method", method, "--out", str(tmp_path / "e")]
+    if method == "sal":
+        argv += ["--records", str(data / "z_records.bin"), "--priors", "0.7", "0.3"]
+    assert main(argv) == 2  # main() returning at all means no traceback escaped
+    err = capsys.readouterr().err
+    assert f"InvalidInput: {pi}: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "e").exists()
+
+
 def test_synth_unwritable_output_file_exits_2_naming_it(tmp_path, capsys):
     out = tmp_path / "s"
     (out / "states.csv").mkdir(parents=True)

@@ -118,6 +118,16 @@ def test_cross_covariance_dimension_mismatch():
         cross_covariance(np.ones((2, 2)), np.ones((2, 2)), Assignment(np.array([0, 1, 0])))
 
 
+def test_cross_covariance_map_errors_name_the_first_bad_row():
+    x, z = np.ones((3, 2)), np.ones((2, 2))
+    with pytest.raises(InvalidInput, match=r"^row 1: record id 2 outside \[0, 2\)$"):
+        cross_covariance(x, z, Assignment(np.array([0, 2, 3])))
+    with pytest.raises(InvalidInput, match=r"^row 2: the map has 2 rows, expected 3$"):
+        cross_covariance(x, z, Assignment(np.array([0, 1])))
+    with pytest.raises(InvalidInput, match=r"^row 1: record id -1 is negative$"):
+        Assignment(np.array([0, -1]))
+
+
 def test_center_columns():
     centered, means = center_columns(np.array([[5.0], [5.0], [5.0]]))
     np.testing.assert_allclose(centered, np.zeros((3, 1)))
