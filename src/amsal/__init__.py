@@ -30,7 +30,6 @@ from .linalg import (
     SvdResult,
     center_columns,
     cross_covariance,
-    frobenius_norm,
     singular_value_sum,
     spectral_norm,
     svd,

@@ -18,12 +18,16 @@ against a slack node whose potential absorbs the bound slack.
    (slack potential 0) are optimal duals, and the solver goes straight
    to step 2. Otherwise `_initial_optimum` repairs the bounds on the
    condensed residual graph, one node per record, where arc u -> v
-   carries the best gain of moving a single input from u to v (kept by
-   `_MoveGains`): it shifts one unit of count at a time along the best
-   chain of moves until the bounds hold and no shift gains (successive
-   shortest paths; Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9),
-   and takes optimal duals from the longest paths of the final residual
-   graph plus a slack node.
+   carries the best gain of moving a single input from u to v. The arc
+   table is an m x m array kept by `_MoveGains`: one gather over sorted
+   blocks builds it, and a move re-reads only the arcs the moved input
+   witnessed. The repair shifts one unit of count at a time along the
+   best chain of moves until the bounds hold and no shift gains
+   (successive shortest paths; Ahuja, Magnanti & Orlin, Network Flows,
+   1993, ch. 9): a vectorized max-plus Floyd-Warshall gives the chain
+   gains and a breadth-first search over the arcs on best paths gives
+   the chain. Optimal duals come from the longest paths of the final
+   residual graph plus a slack node.
 2. `_lex_refine` rewrites that optimum into the lexicographically
    smallest optimal map, so results do not depend on how the optimum was
    reached. Complementary slackness holds between the duals and every
@@ -32,7 +36,8 @@ against a slack node whose potential absorbs the bound slack.
    tight graph of at most m + 1 nodes.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
-optimality reasoning below is exact integer arithmetic on those costs.
+optimality reasoning below is exact integer arithmetic on those costs
+(path gains are integers held exactly in float64).
 """
 
 from __future__ import annotations
@@ -186,64 +191,80 @@ def _checked_assignment(pi, records):
 
 
 class _MoveGains:
-    """Best gain c[i, v] - c[i, u] over the inputs i now in record u.
+    """The arc table of the record graph under a map pi, kept current as
+    inputs move.
 
-    The bound repair moves inputs through it. For each pair (u, v), inputs
-    that started in u are read from one static order sorted by decreasing
-    gain, and inputs that moved into u later from a max-heap. Entries of
-    inputs that have since left u are skipped lazily, so moving an input
-    costs O(m log n) and reading a pair O(1) amortized. The record counts
-    of pi are kept alongside.
+    W[u, v] is the best gain c[i, v] - c[i, u] over the inputs i now in
+    record u (-inf where u is empty and on the diagonal), and witness[u, v]
+    the input that attains it (-1 where there is none). One stable argsort
+    of the transposed (m, n) key puts row v of `order` in (record,
+    decreasing gain, index) order, so the head of record u's block in row v
+    is the best move out of u into v under the start map, and the first
+    table is one gather over those heads. When input i moves u -> v, only
+    the arcs of u that i witnessed are read again, and row v is raised to
+    i's gains where they are strictly larger. A read of (u, v) walks a
+    cursor down u's block, skipping inputs that have left u, and compares
+    with a max-heap of the inputs that moved into u since; a pair's cursor
+    and heap are created when it is first read or pushed. The record
+    counts of pi are kept alongside.
     """
 
     def __init__(self, c, pi):
         self.c = c
         self.pi = pi
         n, m = c.shape
-        self.counts = np.bincount(pi, minlength=m).tolist()
-        gains = c - c[np.arange(n), pi][:, None]
-        # One sort puts every column in (record, decreasing gain, index)
-        # order: costs lie within +-2^32, so |gain| <= 2^33 and the record
-        # term pi * 2^35 outweighs any gain.
-        orders = np.argsort(pi[:, None] * 2**35 - gains, axis=0, kind="stable")
-        gains = np.take_along_axis(gains, orders, 0)
-        self.static = {}
+        counts = np.bincount(pi, minlength=m)
+        self.counts = counts.tolist()
+        gains = c.T - c[np.arange(n), pi]
+        # costs lie within +-2^32, so |gain| <= 2^33 and the record term
+        # pi * 2^35 outweighs any gain
+        self.order = np.argsort(pi * 2**35 - gains, axis=1, kind="stable")
+        self.gains = np.take_along_axis(gains, self.order, 1)
+        end = np.cumsum(counts)
+        self.start, self.end = (end - counts).tolist(), end.tolist()
+        self.cursor = {}
         self.heaps = {}
-        end = 0
-        for u in range(m):
-            start, end = end, end + self.counts[u]
-            for v in range(m):
-                if v != u:
-                    self.static[u, v] = [orders[start:end, v], gains[start:end, v], 0]
-                    self.heaps[u, v] = []
+        head = np.minimum(self.start, n - 1)  # an empty last block starts at n
+        self.W = self.gains[:, head].T.astype(np.float64)
+        self.witness = self.order[:, head].T.copy()
+        none = (counts == 0)[:, None] | np.eye(m, dtype=bool)
+        self.W[none] = -np.inf
+        self.witness[none] = -1
 
     def best(self, u, v):
-        """(gain, input) of the best move out of u into v, or (None, -1) if
+        """(gain, input) of the best move out of u into v, or (-inf, -1) if
         u is empty."""
         pi = self.pi
-        entry = self.static[u, v]
-        rows, gains, pos = entry
-        while pos < rows.size and pi[rows[pos]] != u:
+        rows = self.order[v]
+        pos, end = self.cursor.get((u, v), self.start[u]), self.end[u]
+        while pos < end and pi[rows[pos]] != u:
             pos += 1
-        entry[2] = pos
-        heap = self.heaps[u, v]
+        self.cursor[u, v] = pos
+        heap = self.heaps.get((u, v))
         while heap and pi[heap[0][1]] != u:
             heapq.heappop(heap)
-        if pos < rows.size and (not heap or gains[pos] >= -heap[0][0]):
-            return int(gains[pos]), int(rows[pos])
+        if pos < end and (not heap or self.gains[v, pos] >= -heap[0][0]):
+            return int(self.gains[v, pos]), int(rows[pos])
         if heap:
             return -heap[0][0], heap[0][1]
-        return None, -1
+        return -np.inf, -1
 
     def move(self, i, v):
-        """Reassign input i to record v."""
-        self.counts[self.pi[i]] -= 1
+        """Reassign input i to record v and update the arc table."""
+        u = int(self.pi[i])
+        self.counts[u] -= 1
         self.counts[v] += 1
         self.pi[i] = v
+        for w, k in enumerate(self.witness[u].tolist()):
+            if k == i:
+                self.W[u, w], self.witness[u, w] = self.best(u, w)
         row = self.c[i].tolist()
-        for w in range(len(row)):
+        current = self.W[v].tolist()
+        for w, cw in enumerate(row):
             if w != v:
-                heapq.heappush(self.heaps[v, w], (row[v] - row[w], i))
+                heapq.heappush(self.heaps.setdefault((v, w), []), (row[v] - cw, i))
+                if cw - row[v] > current[w]:
+                    self.W[v, w], self.witness[v, w] = cw - row[v], i
 
 
 def _price_start(c, lower, upper):
@@ -260,13 +281,16 @@ def _price_start(c, lower, upper):
     """
     n, m = c.shape
     phi = np.zeros(m, dtype=np.int64)
+    reduced = c.copy()  # c - phi, one column updated per price set
     pi = c.argmax(axis=1)
     counts = np.bincount(pi, minlength=m)
     for j in range(m):
         if lower[j] <= counts[j] <= upper[j]:
             continue
-        reduced = c - phi
-        g = c[:, j] - np.delete(reduced, j, axis=1).max(axis=1)
+        # m >= 2 here (a single record holds all n inputs, within its
+        # bounds), so the masked column never attains a row maximum
+        reduced[:, j] = np.iinfo(np.int64).min
+        g = c[:, j] - reduced.max(axis=1)
         if counts[j] > upper[j]:
             k = n - upper[j] - 1
             phi[j] = np.partition(g, k)[k] + 1
@@ -282,15 +306,19 @@ def _price_start(c, lower, upper):
 def _initial_optimum(c, start, lower, upper):
     """One optimal map from the start map, with optimal dual potentials.
 
-    Bound repair on the record graph: each step shifts one unit of count
-    from record a to record b along the best a -> b chain of single-input
-    moves. It picks the transfer that most reduces the total bound
-    violation and, among those, the one with the largest gain; it stops
-    when no transfer lowers the violation and none keeps it level with a
-    positive gain. This is cycle cancelling with convex penalties, so the
-    result is optimal. The start, an argmax of c - phi, has a record graph
-    free of positive cycles, and augmenting along best paths keeps it so,
-    which makes the path gains well defined at every step.
+    Bound repair on the record graph, whose arc table `_MoveGains` keeps
+    as arrays: each step shifts one unit of count from record a to record
+    b along a best a -> b chain of single-input moves. It picks the
+    transfer that most reduces the total bound violation and, among
+    those, the one with the largest gain; it stops when no transfer
+    lowers the violation and none keeps it level with a positive gain.
+    This is cycle cancelling with convex penalties, so the result is
+    optimal. The start, an argmax of c - phi, has a record graph free of
+    positive cycles, and augmenting along best paths keeps it so, which
+    makes the path gains well defined at every step. The chain is found
+    by a breadth-first search from a over the arcs u -> v with W[u, v] +
+    D[v, b] == D[u, b]: their gains telescope to D[a, b], and the search
+    returns a simple path even where zero-gain cycles tie with it.
 
     Returns (pi, phi, phi_slack): the optimum and optimal duals, the
     longest-path potentials of its residual graph's record nodes and of a
@@ -300,95 +328,75 @@ def _initial_optimum(c, start, lower, upper):
     m = c.shape[1]
     gains = _MoveGains(c, start)
     counts = gains.counts
-    W = [[None] * m for _ in range(m)]
-    witness = [[-1] * m for _ in range(m)]
-    stale = range(m)
     while True:
-        for u in stale:
-            for v in range(m):
-                if v != u:
-                    W[u][v], witness[u][v] = gains.best(u, v)
-        D, via = _best_paths(W)
-        best = None
-        for a in range(m):
-            out = (counts[a] <= lower[a]) - (counts[a] > upper[a])
-            for b in range(m):
-                if b == a or D[a][b] is None:
-                    continue
-                into = (counts[b] >= upper[b]) - (counts[b] < lower[b])
-                key = (out + into, -D[a][b])
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        if best is None or best[0] >= (0, 0):
+        D = _best_paths(gains.W)
+        # a transfer a -> b changes the total violation by out[a] + into[b]
+        out = [(k <= lo) - (k > up) for k, lo, up in zip(counts, lower, upper)]
+        into = [(k >= up) - (k < lo) for k, lo, up in zip(counts, lower, upper)]
+        change = np.where(D > -np.inf, np.add.outer(out, into), 3)
+        change.ravel()[:: m + 1] = 3  # no transfer from a record to itself
+        least = change.min()
+        gain = np.where(change == least, D, -np.inf)
+        a, b = divmod(int(gain.argmax()), m)
+        if least > 0 or (least == 0 and gain[a, b] <= 0):
             break
-        _, a, b = best
-        seq = _simple_path(via, a, b)
-        for u, v in zip(seq, seq[1:]):
-            gains.move(witness[u][v], v)
-        stale = seq  # only records on the path changed members
+        path = _tight_path(gains.W, D, a, b)
+        # read every arc's witness before any input moves, so each arc
+        # moves the input its gain was read from
+        movers = [(int(gains.witness[u, v]), v) for u, v in zip(path, path[1:])]
+        for i, v in movers:
+            gains.move(i, v)
     # Longest paths from a virtual root with a zero arc to every node of the
     # residual graph, whose slack node has arcs u -> slack where counts[u] <
     # upper[u] and slack -> u where counts[u] > lower[u]; with no positive
-    # cycle, a longest path passes the slack node at most once.
-    reach = [max(D[u][v] for u in range(m) if D[u][v] is not None) for v in range(m)]
-    phi_slack = max([0] + [reach[u] for u in range(m) if counts[u] < upper[u]])
-    phi = [
-        max([reach[v]] + [phi_slack + D[u][v] for u in range(m)
-                          if counts[u] > lower[u] and D[u][v] is not None])
-        for v in range(m)
-    ]
-    return gains.pi, np.array(phi, dtype=np.int64), phi_slack
+    # cycle, a longest path passes the slack node at most once. The
+    # zero-length path (the diagonal of D) counts as a path.
+    counts, lower, upper = np.array(counts), np.asarray(lower), np.asarray(upper)
+    reach = D.max(axis=0)
+    phi_slack = reach[counts < upper].max(initial=0.0)
+    phi = np.maximum(reach, phi_slack + D[counts > lower].max(axis=0, initial=-np.inf))
+    return gains.pi, phi.astype(np.int64), int(phi_slack)
 
 
 def _best_paths(W):
-    """Max-plus Floyd-Warshall; the residual graph of an optimum has no positive cycle."""
-    nodes = len(W)
-    D = [[0 if u == v else W[u][v] for v in range(nodes)] for u in range(nodes)]
-    via = [[-1] * nodes for _ in range(nodes)]
-    for t in range(nodes):
-        Dt = D[t]
-        for u in range(nodes):
-            dut = D[u][t]
-            if dut is None:
-                continue
-            Du = D[u]
-            for v in range(nodes):
-                dtv = Dt[v]
-                if dtv is None:
-                    continue
-                cand = dut + dtv
-                if Du[v] is None or cand > Du[v]:
-                    Du[v] = cand
-                    via[u][v] = t
-    return D, via
+    """Max-plus Floyd-Warshall: D[u, v] is the largest gain of a path from
+    u to v (0 for u == v, -inf where none exists); the residual graph of
+    an optimum has no positive cycle.
+
+    Arc gains are integers of magnitude at most 2^33, so every path sum,
+    and every sum of two paths that a relaxation forms, is an integer of
+    magnitude at most 2 (m - 1) 2^33, exact in float64 while that stays
+    within 2^53.
+    """
+    m = W.shape[0]
+    if (m - 1) * 2**34 > 2**53:
+        raise InvalidInput(f"{m} records exceed the {2**19 + 1} that exact path gains allow")
+    D = W.copy()
+    D.ravel()[:: m + 1] = 0.0
+    for t in range(m):
+        np.maximum(D, D[:, t, None] + D[t], out=D)
+    return D
 
 
-def _expand_path(via, u, v, out):
-    t = via[u][v]
-    if t < 0:
-        out.append((u, v))
-    else:
-        _expand_path(via, u, t, out)
-        _expand_path(via, t, v, out)
-
-
-def _simple_path(via, u, v):
-    """Node sequence of a best path with any zero-gain cycles spliced out."""
-    arcs = []
-    _expand_path(via, u, v, arcs)
-    seq = [u] + [b for _, b in arcs]
-    pos = {}
-    i = 0
-    while i < len(seq):
-        node = seq[i]
-        if node in pos:
-            del seq[pos[node] + 1 : i + 1]
-            i = pos[node] + 1
-            pos = {nd: k for k, nd in enumerate(seq[:i])}
-        else:
-            pos[node] = i
-            i += 1
-    return seq
+def _tight_path(W, D, a, b):
+    """Node sequence of a best a -> b path: a breadth-first search over the
+    arcs that lie on some best path to b."""
+    if W[a, b] == D[a, b]:
+        return [a, b]  # what the search finds first when the direct arc is best
+    tight = (W + D[:, b] == D[:, b, None]).tolist()
+    toward = {a: a}  # node -> previous node on the search tree
+    queue = [a]
+    for u in queue:
+        for v, on in enumerate(tight[u]):
+            if on and v not in toward:
+                toward[v] = u
+                queue.append(v)
+        if b in toward:
+            break
+    path = [b]
+    while path[-1] != a:
+        path.append(toward[path[-1]])
+    return path[::-1]
 
 
 def _lex_refine(c, pi, phi, phi_slack, lower, upper):

@@ -60,9 +60,10 @@ def _records(args, n):
 
 def _cmd_align(args):
     x = aio.load_matrix(args.x)
-    records = _records(args, x.shape[0])
-    truth = aio.load_assignment(args.truth, x.shape[0], records.m) if args.truth else None
-    seed_labels = aio.load_seed_labels(args.labels) if args.labels else None
+    n = x.shape[0]
+    records = _records(args, n)
+    truth = aio.load_assignment(args.truth, n, records.m) if args.truth else None
+    seed_labels = aio.load_seed_labels(args.labels, n, records.m) if args.labels else None
     cfg = AmsalConfig(
         max_iterations=args.iterations,
         num_seeds=args.seeds,

@@ -232,8 +232,10 @@ def _load_column(path, parse, what, dtype):
     return np.asarray(values, dtype=dtype)
 
 
-def load_seed_labels(path):
-    """Partial-supervision pairs: lines of "input_index,record_index"."""
+def load_seed_labels(path, n=None, m=None):
+    """Partial-supervision pairs: lines of "input_index,record_index". With
+    n given each index must lie in [0, n), and with m each record id in
+    [0, m); errors name the path and the line."""
     idx, val = [], []
     for ln, line in enumerate(_read(path, text=True).splitlines(), start=1):
         if not line.strip():
@@ -242,10 +244,16 @@ def load_seed_labels(path):
         if len(fields) != 2:
             raise FormatError(f"{path}: line {ln}: expected index,record")
         try:
-            idx.append(_int64(fields[0]))
-            val.append(_int64(fields[1]))
+            i, j = _int64(fields[0]), _int64(fields[1])
         except ValueError:
             raise FormatError(f"{path}: line {ln}: not an integer pair") from None
+        pair = f"{path}: line {ln}: seed label pair {len(idx)} ({i}, {j})"
+        if n is not None and not 0 <= i < n:
+            raise InvalidInput(f"{pair}: index must be in [0, {n})")
+        if m is not None and not 0 <= j < m:
+            raise InvalidInput(f"{pair}: record id must be in [0, {m})")
+        idx.append(i)
+        val.append(j)
     if not idx:
         raise FormatError(f"{path}: no data rows")
     return np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.int64)
@@ -498,7 +506,7 @@ def run_pipeline(cfg):
     n = x.shape[0]
     records = guarded_records(load_matrix(cfg.records), n, cfg.priors, cfg.slack)
     truth = load_assignment(cfg.truth, n, records.m) if cfg.truth else None
-    seed_labels = load_seed_labels(cfg.seed_labels) if cfg.seed_labels else None
+    seed_labels = load_seed_labels(cfg.seed_labels, n, records.m) if cfg.seed_labels else None
     amsal_cfg = AmsalConfig(
         max_iterations=cfg.max_iterations,
         num_seeds=cfg.num_seeds,

@@ -73,10 +73,6 @@ class SvdResult:
         """Numerical rank: count of sigma[i] > RANK_RTOL * sigma[0]."""
         return _rank(self.sigma)
 
-    def reconstruct(self):
-        """Multiply the factors back together."""
-        return (self.u * self.sigma) @ self.v.T
-
 
 def _rank(sigma):
     """Count of sigma[i] > RANK_RTOL * sigma[0] for descending sigma."""
@@ -153,12 +149,6 @@ def spectral_norm(a):
     """Largest singular value."""
     a = as_matrix(a, "a")
     return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-def frobenius_norm(a):
-    """sqrt of the sum of squared entries."""
-    a = as_matrix(a, "a")
-    return float(np.sqrt(np.sum(a * a)))
 
 
 def singular_value_sum(a):

@@ -12,7 +12,7 @@ GEMMs and a softmax reduced over the short class axis.
 
 Both erasers subtract the means stored at fit time and then apply an
 orthogonal projection, so the output stays in the original coordinate
-system (a reduced-dimension view is available for the spectral kind).
+system.
 """
 
 from __future__ import annotations
@@ -160,21 +160,13 @@ def fit_inlp(x, z_labels, max_rounds):
     return Eraser(kind=INLP, input_means=means, projection=projection, iterations=rounds)
 
 
-def apply_eraser(eraser, x, reduced=False):
-    """Center with the fit-time means and project.
-
-    The default keeps the ambient dimension; reduced=True returns the
-    coordinates in the retained spectral basis instead (sal only).
-    """
+def apply_eraser(eraser, x):
+    """Center with the fit-time means and project; the output keeps the
+    ambient dimension."""
     x = as_matrix(x, "x")
     if x.shape[1] != eraser.dim:
         raise InvalidInput(f"x has {x.shape[1]} columns, eraser expects {eraser.dim}")
-    x_c = x - eraser.input_means
-    if reduced:
-        if eraser.kind != SAL:
-            raise InvalidInput("reduced output is only defined for the spectral eraser")
-        return _matmul(x_c, eraser.basis)
-    return _matmul(x_c, eraser.matrix)
+    return _matmul(x - eraser.input_means, eraser.matrix)
 
 
 def fit_logistic_probe(x, y, num_classes):

@@ -6,8 +6,10 @@ runs the path test for every input. It is slow, but it reaches the
 lexicographically smallest optimum by a route independent of the
 library's argmax-and-repair phase and dual screen, and that optimum is
 unique, so `solve_assignment` must return exactly the same map. The
-refine's arc gains are rebuilt densely from the costs here, not read from
-the library's move-gain structure, so the oracle shares none of that code.
+refine's arc gains are rebuilt densely from the costs here, and its best
+paths come from a list-of-lists Floyd-Warshall with a via table and a
+zero-cycle splice, so the oracle shares no move-gain or path code with
+the library.
 
 `brute_force_assignment` enumerates every feasible map of a tiny
 instance, as an oracle that shares no reasoning with either solver.
@@ -22,13 +24,7 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from amsal.assignment import (
-    Assignment,
-    _best_paths,
-    _checked_assignment,
-    _integer_costs,
-    _simple_path,
-)
+from amsal.assignment import Assignment, _checked_assignment, _integer_costs
 from amsal.errors import AmsalError, InvalidInput
 from amsal.linalg import as_matrix
 
@@ -98,6 +94,58 @@ def dense_condensed_graph(c, lower, upper, pi, counts, frozen):
     return W, witness
 
 
+def best_paths(W):
+    """Max-plus Floyd-Warshall on lists, None for no arc; (D, via) where
+    via[u][v] is an intermediate node of a best u -> v path, or -1."""
+    nodes = len(W)
+    D = [[0 if u == v else W[u][v] for v in range(nodes)] for u in range(nodes)]
+    via = [[-1] * nodes for _ in range(nodes)]
+    for t in range(nodes):
+        Dt = D[t]
+        for u in range(nodes):
+            dut = D[u][t]
+            if dut is None:
+                continue
+            Du = D[u]
+            for v in range(nodes):
+                dtv = Dt[v]
+                if dtv is None:
+                    continue
+                cand = dut + dtv
+                if Du[v] is None or cand > Du[v]:
+                    Du[v] = cand
+                    via[u][v] = t
+    return D, via
+
+
+def _expand_path(via, u, v, out):
+    t = via[u][v]
+    if t < 0:
+        out.append((u, v))
+    else:
+        _expand_path(via, u, t, out)
+        _expand_path(via, t, v, out)
+
+
+def simple_path(via, u, v):
+    """Node sequence of a best path with any zero-gain cycles spliced out."""
+    arcs = []
+    _expand_path(via, u, v, arcs)
+    seq = [u] + [b for _, b in arcs]
+    pos = {}
+    i = 0
+    while i < len(seq):
+        node = seq[i]
+        if node in pos:
+            del seq[pos[node] + 1 : i + 1]
+            i = pos[node] + 1
+            pos = {nd: k for k, nd in enumerate(seq[:i])}
+        else:
+            pos[node] = i
+            i += 1
+    return seq
+
+
 def unscreened_lex_refine(c, lower, upper, pi):
     """Fix inputs in index order, each in the smallest group an optimum allows."""
     n, m = c.shape
@@ -110,13 +158,13 @@ def unscreened_lex_refine(c, lower, upper, pi):
             continue
         counts = np.bincount(pi, minlength=m)
         W, witness = dense_condensed_graph(c, lower, upper, pi, counts, frozen)
-        D, via = _best_paths(W)
+        D, via = best_paths(W)
         base = int(c[i, a])
         for b in range(a):
             if D[b][a] is None:
                 continue
             if int(c[i, b]) - base + D[b][a] == 0:
-                seq = _simple_path(via, b, a)
+                seq = simple_path(via, b, a)
                 for u, v in zip(seq, seq[1:]):
                     if u < m and v < m:
                         pi[witness[u][v]] = v

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_assignment import TooLarge, brute_force_assignment, reference_assignment
+from reference_assignment import (
+    TooLarge,
+    best_paths,
+    brute_force_assignment,
+    reference_assignment,
+)
 
 import amsal.assignment
 from amsal import (
@@ -146,9 +151,10 @@ def test_matches_reference_solver_corpus():
 
 @st.composite
 def _priced_instances(draw):
-    """Small instances of every score regime, with an arbitrary price vector."""
+    """Small instances of every score regime, with an arbitrary price vector;
+    up to 8 records, as many as the benchmark's multi-record workload."""
     n = draw(st.integers(1, 40))
-    m = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(("continuous", "rounded", "tied")))
     s = rng.standard_normal((n, m))
@@ -186,6 +192,86 @@ def test_any_price_start_reaches_the_reference_map(instance):
     expected = reference_assignment(s, records)
     np.testing.assert_array_equal(_solve_from(s, records, phi), expected)
     np.testing.assert_array_equal(_solve_from(s, records, 0 * phi), expected)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_priced_instances())
+def test_repair_duals_certify_its_map(instance):
+    s, records, phi = instance
+    c = amsal.assignment._integer_costs(s)
+    lower, upper = records.lower_bounds, records.upper_bounds
+    start = (c - phi).argmax(axis=1)
+    pi, phi, phi_slack = amsal.assignment._initial_optimum(c, start, lower.tolist(),
+                                                           upper.tolist())
+    reduced = c - phi
+    np.testing.assert_array_equal(reduced[np.arange(c.shape[0]), pi], reduced.max(axis=1))
+    counts = np.bincount(pi, minlength=records.m)
+    assert np.all((lower <= counts) & (counts <= upper))
+    assert np.all(counts[phi > phi_slack] == upper[phi > phi_slack])
+    assert np.all(counts[phi < phi_slack] == lower[phi < phi_slack])
+
+
+def _dense_arcs(c, pi):
+    """Per record pair (u, v), the largest c[i, v] - c[i, u] over the inputs in u."""
+    m = c.shape[1]
+    W = np.full((m, m), -np.inf)
+    for u in range(m):
+        rows = np.flatnonzero(pi == u)
+        for v in range(m):
+            if v != u and rows.size:
+                W[u, v] = (c[rows, v] - c[rows, u]).max()
+    return W
+
+
+def test_move_gains_arc_table_matches_dense_maximum():
+    rng = np.random.default_rng(20)
+    for trial in range(60):
+        n, m = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+        c = rng.integers(-3, 4, size=(n, m))  # many ties and gains one apart
+        pi = rng.integers(0, m, size=n)
+        if trial % 2:
+            pi[pi == m - 1] = 0  # an empty last record
+        gains = amsal.assignment._MoveGains(c, pi.copy())
+        np.testing.assert_array_equal(gains.W, _dense_arcs(c, pi))
+        for u, v in zip(*np.nonzero(np.isfinite(gains.W))):
+            members = np.flatnonzero(pi == u)
+            tied = members[c[members, v] - c[members, u] == gains.W[u, v]]
+            assert gains.witness[u, v] == tied[0]  # ties go to the smallest index
+        for _ in range(2 * n):
+            i, v = int(rng.integers(n)), int(rng.integers(m))
+            if gains.pi[i] != v:
+                gains.move(i, v)
+            np.testing.assert_array_equal(gains.W, _dense_arcs(c, gains.pi))
+            for u, v in zip(*np.nonzero(np.isfinite(gains.W))):
+                k = gains.witness[u, v]
+                assert gains.pi[k] == u and c[k, v] - c[k, u] == gains.W[u, v]
+            assert np.all(gains.witness[~np.isfinite(gains.W)] == -1)
+        np.testing.assert_array_equal(gains.counts, np.bincount(gains.pi, minlength=m))
+
+
+def test_best_paths_and_tight_paths_match_the_list_floyd_warshall():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        m = int(rng.integers(1, 9))
+        # arcs bounded by potential differences leave no positive cycle;
+        # a coarse grid makes many zero-gain cycles
+        p = rng.integers(-2, 3, size=m) * 2**31
+        W = (p[None, :] - p[:, None] - rng.integers(0, 2, size=(m, m)) * 2**31).astype(float)
+        W[rng.random((m, m)) < 0.4] = -np.inf
+        np.fill_diagonal(W, -np.inf)
+        D = amsal.assignment._best_paths(W)
+        ref, _ = best_paths([[None if w == -np.inf else int(w) for w in row] for row in W])
+        np.testing.assert_array_equal(D, [[-np.inf if d is None else d for d in r] for r in ref])
+        for a, b in zip(*np.nonzero(np.isfinite(D) & ~np.eye(m, dtype=bool))):
+            path = amsal.assignment._tight_path(W, D, a, b)
+            assert path[0] == a and path[-1] == b and len(set(path)) == len(path)
+            assert sum(W[u, v] for u, v in zip(path, path[1:])) == D[a, b]
+
+
+def test_best_paths_refuses_records_beyond_exact_float_range():
+    m = 2**19 + 2
+    with pytest.raises(InvalidInput, match=str(m)):
+        amsal.assignment._best_paths(np.broadcast_to(-np.inf, (m, m)))
 
 
 @st.composite

@@ -147,13 +147,37 @@ def test_align_k_zero_rejected_like_score_k_zero(tmp_path, capsys):
 
 def test_align_out_of_range_seed_label_exits_2(tmp_path, capsys):
     out = _synth(tmp_path, n=60, seed=4)
-    (tmp_path / "seeds.csv").write_text("0,1\n60,0\n")
-    rc = main([
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text("0,1\n60,0\n")
+    argv = [
         "align", "--x", str(out / "x.bin"), "--records", str(out / "z_records.bin"),
-        "--labels", str(tmp_path / "seeds.csv"), "--out", str(tmp_path / "a"),
-    ])
+        "--labels", str(seeds), "--out", str(tmp_path / "a"),
+    ]
+    rc = main(argv)
     assert rc == 2
-    assert "seed label pair 1 (60, 0)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "seed label pair 1 (60, 0)" in err
+    assert f"{seeds}: line 2: seed label pair 1 (60, 0): index must be in [0, 60)" in err
+    seeds.write_text("0,1\n\n70,1\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{seeds}: line 3: seed label pair 1 (70, 1): index must be in [0, 60)" in err
+    assert "Traceback" not in err
+    seeds.write_text("5,0\n3,2\n")
+    assert main(argv) == 2
+    assert f"{seeds}: line 2: seed label pair 1 (3, 2): record id must be in [0, 2)" in (
+        capsys.readouterr().err)
+
+
+def test_pipeline_out_of_range_seed_label_names_file_and_line(tmp_path, capsys):
+    cfg = _pipeline_cfg(tmp_path, "run")
+    (tmp_path / "seeds.csv").write_text("0,1\n9999,0\n")
+    with open(cfg, "a") as fh:
+        fh.write(f"selection = partial\nseed_labels = {tmp_path / 'seeds.csv'}\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'seeds.csv'}: line 2: seed label pair 1 (9999, 0)" in err
+    assert "index must be in [0, 150)" in err and "Traceback" not in err
 
 
 def test_align_prior_count_mismatch_is_located(tmp_path, capsys):

@@ -144,6 +144,16 @@ def test_assignment_and_label_files(tmp_path):
     idx, val = load_seed_labels(tmp_path / "seed.csv")
     np.testing.assert_array_equal(idx, [0, 5])
     np.testing.assert_array_equal(val, [1, 0])
+    np.testing.assert_array_equal(load_seed_labels(tmp_path / "seed.csv", 6, 2)[0], [0, 5])
+    with pytest.raises(InvalidInput, match=r"seed.csv: line 2: seed label pair 1 \(5, 0\): "
+                                           r"index must be in \[0, 5\)"):
+        load_seed_labels(tmp_path / "seed.csv", 5, 2)
+    with pytest.raises(InvalidInput, match=r"seed.csv: line 1: seed label pair 0 \(0, 1\): "
+                                           r"record id must be in \[0, 1\)"):
+        load_seed_labels(tmp_path / "seed.csv", 6, 1)
+    (tmp_path / "neg.csv").write_text("-1,0\n")
+    with pytest.raises(InvalidInput, match="line 1: seed label pair 0 \\(-1, 0\\)"):
+        load_seed_labels(tmp_path / "neg.csv", 6, 2)
     (tmp_path / "junk.csv").write_text("1\nxx\n")
     with pytest.raises(FormatError, match="line 2"):
         load_labels(tmp_path / "junk.csv")
