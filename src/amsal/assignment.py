@@ -484,6 +484,9 @@ def _lex_refine(c, pi, phi, phi_slack, lower, upper):
     return pi
 
 
+PRIOR_SLACK = 0.2  # default fractional slack around the prior counts
+
+
 def bounds_from_priors(priors, n, slack):
     """Count bounds n*p_j*(1 -/+ slack), floored and ceiled, then repaired.
 

@@ -17,8 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io as aio
+from .assignment import PRIOR_SLACK
 from .driver import AmsalConfig, alignment_accuracy
 from .errors import AmsalError, InvalidInput
+from .removal import INLP_ROUNDS
 from .synthetic import LatentSpec, as_records, generate_latent
 
 
@@ -54,7 +56,7 @@ def _cmd_synth(args):
 
 
 def _records(args, n):
-    slack = 0.2 if args.slack is None else args.slack
+    slack = PRIOR_SLACK if args.slack is None else args.slack
     return aio.guarded_records(aio.load_matrix(args.records), n, args.priors, slack)
 
 
@@ -67,8 +69,7 @@ def _cmd_align(args):
     cfg = AmsalConfig(
         max_iterations=args.iterations,
         num_seeds=args.seeds,
-        score_k="full" if args.k is None else args.k,
-        selection="partial" if seed_labels is not None else "unsupervised",
+        score_k=args.k,
         seed_labels=seed_labels,
         rng_seed=args.rng_seed,
     )
@@ -91,10 +92,9 @@ def _cmd_erase(args):
     x = aio.load_matrix(args.x)
     records = _records(args, x.shape[0]) if args.records else None
     pi = aio.load_assignment(args.assignment, x.shape[0], records.m if records else None)
-    rank = "auto" if args.rank is None else args.rank
-    max_rounds = 10 if args.max_rounds is None else args.max_rounds
-    aio.erase(x, pi, args.method, args.out, args.format,
-              records=records, rank=rank, max_rounds=max_rounds)
+    given = {key: value for key, value in (("rank", args.rank), ("max_rounds", args.max_rounds))
+             if value is not None}
+    aio.erase(x, pi, args.method, args.out, args.format, records=records, **given)
     print(f"erased matrix written to {Path(args.out) / f'x_erased.{args.format}'}")
     return 0
 
@@ -117,16 +117,12 @@ def _cmd_pipeline(args):
     return 0
 
 
-def _rank(value):
-    return value if value == "auto" else int(value)
-
-
 def _add_bounds_args(p):
     p.add_argument("--priors", type=float, nargs="*", default=None,
                    help="record priors in records-file row order (default: uniform; "
                         "synth writes the matching values to priors.csv)")
     p.add_argument("--slack", type=float, default=None,
-                   help="fractional slack around the prior counts (default 0.2)")
+                   help=f"fractional slack around the prior counts (default {PRIOR_SLACK})")
 
 
 def build_parser():
@@ -147,7 +143,7 @@ def build_parser():
     p.add_argument("--x-noise", type=float, default=1.0)
     p.add_argument("--z-noise", type=float, default=0.0)
     p.add_argument("--clip", type=float, default=None)
-    p.add_argument("--slack", type=float, default=0.2)
+    p.add_argument("--slack", type=float, default=PRIOR_SLACK)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
     p.set_defaults(func=_cmd_synth)
@@ -156,10 +152,11 @@ def build_parser():
     p.add_argument("--x", required=True)
     p.add_argument("--records", required=True)
     _add_bounds_args(p)
-    p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=None, help="projected scoring dimensions")
+    p.add_argument("--seeds", type=int, default=AmsalConfig.num_seeds)
+    p.add_argument("--iterations", type=int, default=AmsalConfig.max_iterations)
+    p.add_argument("--rng-seed", type=int, default=AmsalConfig.rng_seed)
+    p.add_argument("--k", type=aio._score_k, default=AmsalConfig.score_k,
+                   help="projected scoring dimensions (default %(default)s)")
     p.add_argument("--truth", default=None)
     p.add_argument("--labels", default=None, help="seed pairs for partial selection")
     p.add_argument("--out", required=True)
@@ -171,10 +168,10 @@ def build_parser():
     p.add_argument("--method", choices=("sal", "inlp"), default="sal")
     p.add_argument("--records", default=None, help="required for sal")
     _add_bounds_args(p)
-    p.add_argument("--rank", type=_rank, default=None,
+    p.add_argument("--rank", type=aio._rank, default=None,
                    help="directions to drop (sal; default auto)")
     p.add_argument("--max-rounds", type=int, default=None,
-                   help="probe rounds (inlp; default 10)")
+                   help=f"probe rounds (inlp; default {INLP_ROUNDS})")
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_erase)

@@ -26,8 +26,6 @@ from .assignment import (Assignment, GuardedRecords, assignment_objective, score
 from .errors import InvalidInput, NoCandidates
 from .linalg import SvdResult, as_matrix, center_columns, cross_covariance, svd
 
-SELECTION_MODES = ("unsupervised", "partial")
-
 
 @dataclass(frozen=True)
 class AmsalConfig:
@@ -35,14 +33,14 @@ class AmsalConfig:
     (three random starts, at most a hundred iterations). The count bounds,
     and with them the prior slack, come with the GuardedRecords.
 
-    seed_labels, used only by partial selection, is a pair of index and
-    record-id arrays giving the known alignment of a few inputs.
+    seed_labels, a pair of index and record-id arrays giving the known
+    alignment of a few inputs, turns on partial selection: the candidate
+    most consistent with them wins. Without them the largest objective does.
     """
 
     max_iterations: int = 100
     num_seeds: int = 3
     score_k: int | str = "full"
-    selection: str = "unsupervised"
     seed_labels: tuple | None = None
     rng_seed: int = 0
 
@@ -51,10 +49,6 @@ class AmsalConfig:
             raise InvalidInput("max_iterations must be at least 1")
         if self.num_seeds < 1:
             raise InvalidInput("num_seeds must be at least 1")
-        if self.selection not in SELECTION_MODES:
-            raise InvalidInput(f"selection must be one of {SELECTION_MODES}")
-        if (self.selection == "partial") != (self.seed_labels is not None):
-            raise InvalidInput("partial selection and seed_labels require each other")
         if self.score_k != "full" and (not isinstance(self.score_k, int) or self.score_k < 1):
             raise InvalidInput("score_k must be a positive count or 'full'")
 
@@ -160,7 +154,7 @@ def run_amsal(x, records, cfg, truth=None):
     n = x.shape[0]
     records.check_feasible(n)
     seed_labels = None
-    if cfg.selection == "partial":
+    if cfg.seed_labels is not None:
         seed_labels = _checked_seed_labels(cfg.seed_labels, n, records.m)
     x_c, _ = center_columns(x)
     z_c, _ = center_columns(records.z)
@@ -180,7 +174,7 @@ def run_amsal(x, records, cfg, truth=None):
                 break
             pi = new_pi
 
-    best = _pick_candidate(candidates, cfg.selection, seed_labels)
+    best = _pick_candidate(candidates, seed_labels)
     seed_idx, _, objective, pi = best
     projection = svd(cross_covariance(x_c, z_c, pi))
     return AmsalResult(
@@ -207,15 +201,13 @@ def _checked_seed_labels(seed_labels, n, m):
     return idx, values
 
 
-def _pick_candidate(candidates, mode, seed_labels):
+def _pick_candidate(candidates, seed_labels):
     """Pick among (seed, iteration, objective, pi) candidates: the largest
-    objective, or in partial mode the best accuracy on checked seed pairs
-    with objective next; the earliest (seed, iteration) breaks ties."""
+    objective, or with checked seed pairs the best accuracy on them with
+    objective next; the earliest (seed, iteration) breaks ties."""
     if not candidates:
         raise NoCandidates("no candidates to select from")
-    if mode == "partial":
-        if seed_labels is None:
-            raise InvalidInput("partial selection requires seed labels")
+    if seed_labels is not None:
         idx, values = seed_labels
         return max(
             candidates,
@@ -224,12 +216,12 @@ def _pick_candidate(candidates, mode, seed_labels):
     return max(candidates, key=lambda c: (c[2], -c[0], -c[1]))
 
 
-def kmeans_assign(x, records, cfg, seed_labels=None):
+def kmeans_assign(x, records, cfg):
     """Lloyd clustering as a drop-in replacement for the alternating steps.
 
     Clusters are matched to records by descending size against descending
-    bound mass (or by majority vote of labeled members when seed labels
-    are given). Each record takes its cluster's center, and the exact
+    bound mass (or by majority vote of labeled members when cfg has seed
+    labels). Each record takes its cluster's center, and the exact
     bounded solver assigns the points with the least total squared
     distance to their record's center.
     """
@@ -246,8 +238,8 @@ def kmeans_assign(x, records, cfg, seed_labels=None):
 
     cluster_to_record = np.full(m, -1, dtype=np.int64)
     taken = np.zeros(m, dtype=bool)
-    if seed_labels is not None:
-        idx, values = _checked_seed_labels(seed_labels, n, m)
+    if cfg.seed_labels is not None:
+        idx, values = _checked_seed_labels(cfg.seed_labels, n, m)
         for cl in order_clusters:
             members = idx[labels[idx] == cl]
             if members.size == 0:

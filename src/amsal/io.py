@@ -17,20 +17,21 @@ can be replayed without any extra dependencies.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .assignment import Assignment, GuardedRecords, bounds_from_priors
+from .assignment import PRIOR_SLACK, Assignment, GuardedRecords, bounds_from_priors
 from .driver import AmsalConfig, alignment_accuracy, run_amsal
 from .errors import FormatError, InvalidInput
 from .linalg import _as_index_map, as_matrix
 from .metrics import EvalReport, accuracy, f1_macro, mae, mae_gap, tpr_gap_rms
-from .removal import INLP, SAL, Eraser, apply_eraser, fit_inlp, fit_logistic_probe, fit_sal
+from .removal import (INLP, INLP_ROUNDS, SAL, Eraser, apply_eraser, fit_inlp,
+                      fit_logistic_probe, fit_sal)
 
 MATRIX_MAGIC = b"AMSL"
 ERASER_MAGIC = b"AMSE"
@@ -51,7 +52,7 @@ def _infer_format(path, data=None):
     return CSV if data is not None else BIN
 
 
-def save_matrix(matrix, path, fmt=None, header=False):
+def save_matrix(matrix, path, fmt=None):
     """Write a matrix; format comes from *fmt* or the suffix."""
     matrix = as_matrix(matrix, "matrix")
     fmt = fmt or _infer_format(path)
@@ -62,8 +63,6 @@ def save_matrix(matrix, path, fmt=None, header=False):
             fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
     elif fmt == CSV:
         with _writing(path) as fh:
-            if header:
-                fh.write(",".join(f"c{j}" for j in range(matrix.shape[1])) + "\n")
             for row in matrix.tolist():  # Python floats: repr is the shortest round trip
                 fh.write(",".join(map(repr, row)) + "\n")
     else:
@@ -109,15 +108,13 @@ def _decode(raw, path):
         raise FormatError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
-def load_matrix(path, fmt=None):
-    """Read a matrix back; BIN round trips are bit exact."""
+def load_matrix(path):
+    """Read a matrix back, in the format of its suffix or else its magic;
+    BIN round trips are bit exact."""
     raw = _read(path)
-    fmt = fmt or _infer_format(path, raw)
-    if fmt == BIN:
+    if _infer_format(path, raw) == BIN:
         return _parse_bin(raw, path)
-    if fmt == CSV:
-        return _parse_csv(raw, path)
-    raise InvalidInput(f"unknown matrix format {fmt!r}")
+    return _parse_csv(raw, path)
 
 
 def _parse_bin(raw, path):
@@ -333,54 +330,58 @@ def save_report(report, path):
         fh.write(format_report(report))
 
 
-_CONFIG_DEFAULTS = {
-    "x": None,
-    "records": None,
-    "output_dir": None,
-    "priors": "",
-    "slack": "0.2",
-    "max_iterations": "100",
-    "num_seeds": "3",
-    "rng_seed": "0",
-    "score_k": "full",
-    "selection": "unsupervised",
-    "seed_labels": "",
-    "removal": "sal",
-    "removal_rank": "auto",
-    "inlp_rounds": "10",
-    "y": "",
-    "y_kind": "none",
-    "truth": "",
+def _score_k(text):
+    return text if text == "full" else int(text)
+
+
+def _rank(text):
+    return text if text == "auto" else int(text)
+
+
+def _priors(text):
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+# parsers of the config values that are not strings
+_PARSERS = {
+    "priors": _priors,
+    "slack": float,
+    "max_iterations": int,
+    "num_seeds": int,
+    "rng_seed": int,
+    "score_k": _score_k,
+    "removal_rank": _rank,
+    "inlp_rounds": int,
 }
 
-_REQUIRED_KEYS = ("x", "records", "output_dir")
 
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PipelineConfig:
-    """Parsed pipeline settings; see _CONFIG_DEFAULTS for the key set."""
+    """Parsed pipeline settings, one field per config key. The fields
+    without a default are required; a seed_labels file turns on partial
+    selection (see AmsalConfig)."""
 
     x: str
     records: str
     output_dir: str
-    priors: tuple
-    slack: float
-    max_iterations: int
-    num_seeds: int
-    rng_seed: int
-    score_k: int | str
-    selection: str
-    seed_labels: str
-    removal: str
-    removal_rank: int | str
-    inlp_rounds: int
-    y: str
-    y_kind: str
-    truth: str
+    priors: tuple = ()
+    slack: float = PRIOR_SLACK
+    max_iterations: int = AmsalConfig.max_iterations
+    num_seeds: int = AmsalConfig.num_seeds
+    rng_seed: int = AmsalConfig.rng_seed
+    score_k: int | str = AmsalConfig.score_k
+    seed_labels: str = ""
+    removal: str = SAL
+    removal_rank: int | str = "auto"
+    inlp_rounds: int = INLP_ROUNDS
+    y: str = ""
+    y_kind: str = "none"
+    truth: str = ""
 
     @classmethod
     def from_file(cls, path):
-        values = dict(_CONFIG_DEFAULTS)
+        keys = {f.name for f in dataclasses.fields(cls)}
+        values = {}
         for ln, line in enumerate(_read(path, text=True).splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -389,38 +390,37 @@ class PipelineConfig:
                 raise FormatError(f"{path}: line {ln}: expected key = value")
             key, _, value = stripped.partition("=")
             key = key.strip()
-            if key not in values:
+            if key not in keys:
                 raise FormatError(f"{path}: line {ln}: unknown key {key!r}")
             values[key] = value.strip()
-        for key in _REQUIRED_KEYS:
-            if not values[key]:
-                raise FormatError(f"{path}: missing required key {key!r}")
         return cls.from_values(values, source=str(path))
 
     @classmethod
     def from_values(cls, values, source="config"):
-        fields = dict(values)  # path and mode keys stay strings
-        try:
-            fields["priors"] = tuple(
-                float(tok) for tok in values["priors"].split(",") if tok.strip()
-            )
-            fields["slack"] = float(values["slack"])
-            for key in ("max_iterations", "num_seeds", "rng_seed", "inlp_rounds"):
-                fields[key] = int(values[key])
-            for key, word in (("score_k", "full"), ("removal_rank", "auto")):
-                if values[key] != word:
-                    fields[key] = int(values[key])
-        except ValueError as exc:
-            raise FormatError(f"{source}: bad field value: {exc}") from None
-        return cls(**fields)
+        """Settings from a key -> text mapping; keys left out keep their
+        defaults. FormatError names an unknown key, a missing or empty
+        required key, or a value that does not parse."""
+        known = dataclasses.fields(cls)
+        names = {f.name for f in known}
+        for key in values:
+            if key not in names:
+                raise FormatError(f"{source}: unknown key {key!r}")
+        for f in known:
+            if f.default is dataclasses.MISSING and not values.get(f.name):
+                raise FormatError(f"{source}: missing required key {f.name!r}")
+        parsed = {}
+        for key, text in values.items():
+            try:
+                parsed[key] = _PARSERS.get(key, str)(text)
+            except ValueError as exc:
+                raise FormatError(f"{source}: bad field value for {key!r}: {exc}") from None
+        return cls(**parsed)
 
     def validate(self):
         if self.removal not in (SAL, INLP):
             raise InvalidInput(f"removal must be 'sal' or 'inlp', got {self.removal!r}")
         if self.y_kind not in ("classification", "regression", "none"):
             raise InvalidInput("y_kind must be classification, regression or none")
-        if (self.selection == "partial") != bool(self.seed_labels):
-            raise InvalidInput("partial selection and a seed_labels file require each other")
         if self.y_kind != "none" and not self.y:
             raise InvalidInput(f"y_kind={self.y_kind} requires a y file")
         for key in ("x", "records", "seed_labels", "y", "truth"):
@@ -452,7 +452,7 @@ def align(x, records, cfg, out, truth=None):
     return result
 
 
-def erase(x, pi, method, out, fmt, records, rank, max_rounds):
+def erase(x, pi, method, out, fmt, records=None, rank="auto", max_rounds=INLP_ROUNDS):
     """Fit a SAL (uses records and rank) or INLP (uses max_rounds) eraser
     under the map pi, apply it to x, and write eraser.bin and
     x_erased.<fmt> under out; returns the erased matrix."""
@@ -511,7 +511,6 @@ def run_pipeline(cfg):
         max_iterations=cfg.max_iterations,
         num_seeds=cfg.num_seeds,
         score_k=cfg.score_k,
-        selection=cfg.selection,
         seed_labels=seed_labels,
         rng_seed=cfg.rng_seed,
     )

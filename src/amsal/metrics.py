@@ -97,14 +97,14 @@ def tpr_gap_rms(y_true, y_pred, z):
     return float(np.sqrt(np.mean(gaps * gaps)))
 
 
-def mae_gap(abs_errors, z, population=True):
+def mae_gap(abs_errors, z):
     """Spread of the per-group mean absolute deviation of absolute errors.
 
     For group j: mu_j is the mean absolute error, eta_ij the absolute
     difference between mu_j and example i's absolute error, and MAD_j the
-    mean of |eta_ij - mu_j|. Returns the standard deviation of the m MAD
-    values; population=True divides by m (the groups are the whole
-    population of groups), population=False uses m - 1.
+    mean of |eta_ij - mu_j|. Returns the population standard deviation
+    of the m MAD values (divided by m: the groups are the whole
+    population of groups).
     """
     errs = np.asarray(abs_errors, dtype=np.float64)
     if errs.ndim != 1 or errs.size < 1:
@@ -123,8 +123,4 @@ def mae_gap(abs_errors, z, population=True):
         mu = grp.mean()
         eta = np.abs(grp - mu)
         mads.append(float(np.mean(np.abs(eta - mu))))
-    mads = np.asarray(mads)
-    ddof = 0 if population else 1
-    if mads.size <= ddof:
-        return 0.0
-    return float(np.std(mads, ddof=ddof))
+    return float(np.std(mads))

@@ -33,6 +33,7 @@ INLP = "inlp"
 PROBE_EPOCHS = 500
 PROBE_STEP = 0.1
 INLP_STOP_SLACK = 0.02
+INLP_ROUNDS = 10  # default cap on the INLP probe rounds
 
 
 @dataclass(frozen=True, eq=False)

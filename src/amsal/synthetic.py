@@ -24,11 +24,11 @@ analytic expectation at a rate governed by the usual exponential bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assignment import Assignment, GuardedRecords, bounds_from_priors
+from .assignment import PRIOR_SLACK, Assignment, GuardedRecords, bounds_from_priors
 from .errors import InvalidInput
 from .linalg import as_matrix, center_columns, singular_value_sum, spectral_norm
 
@@ -143,7 +143,7 @@ def generate_latent(spec):
     )
 
 
-def as_records(data, slack=0.2):
+def as_records(data, slack=PRIOR_SLACK):
     """Collapse the z rows to unique guarded records with prior-derived bounds.
 
     Returns (records, truth) where truth maps each input to its record.
@@ -283,14 +283,4 @@ def reference_spec(n=500, rng_seed=0):
 def reference_records_spec(n=500, rng_seed=0):
     """reference_spec with a noiseless guarded view, so the z rows collapse
     to two unique records and alignment recovery is well posed."""
-    return LatentSpec(
-        n=n,
-        d=8,
-        d_prime=2,
-        num_states=2,
-        state_priors=(0.7, 0.3),
-        x_noise=1.0,
-        z_noise=0.0,
-        separation=3.0,
-        rng_seed=rng_seed,
-    )
+    return replace(reference_spec(n, rng_seed), z_noise=0.0)

@@ -328,7 +328,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
             "output_dir": str(tmp_path / run),
             "priors": ",".join(repr(float(c)) for c in counts),
             "slack": "0.2", "max_iterations": "100", "num_seeds": "3",
-            "rng_seed": "0", "score_k": "full", "selection": "unsupervised",
+            "rng_seed": "0", "score_k": "full",
             "seed_labels": "", "removal": "sal", "removal_rank": "auto",
             "inlp_rounds": "10", "y": "", "y_kind": "none",
         }

@@ -126,13 +126,40 @@ def test_pipeline_reruns_byte_identical(tmp_path):
 
 
 def test_pipeline_partial_without_labels_fails_fast(tmp_path, capsys):
+    # seed_labels alone turns on partial selection; the old selection key is gone
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(
         "x = missing.bin\nrecords = missing.bin\noutput_dir = out\nselection = partial\n"
     )
     rc = main(["pipeline", "--config", str(cfg)])
     assert rc == 2
-    assert "seed_labels" in capsys.readouterr().err
+    assert f"FormatError: {cfg}: line 4: unknown key 'selection'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_labels", [False, True])
+def test_cli_and_pipeline_resolve_the_same_defaults(tmp_path, with_labels):
+    data = _synth(tmp_path, n=150, seed=6)
+    x, records = str(data / "x.bin"), str(data / "z_records.bin")
+    priors = (data / "priors.csv").read_text().strip()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"x = {x}\nrecords = {records}\npriors = {priors}\n"
+                   f"removal = inlp\noutput_dir = {tmp_path / 'pipe'}\n")
+    labels = []
+    if with_labels:
+        truth = load_assignment(data / "truth.csv").map
+        seeds = tmp_path / "seeds.csv"
+        seeds.write_text("".join(f"{i},{truth[i]}\n" for i in (0, 7, 19, 40)))
+        with open(cfg, "a") as fh:
+            fh.write(f"seed_labels = {seeds}\n")
+        labels = ["--labels", str(seeds)]
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert main(["align", "--x", x, "--records", records, "--priors", *priors.split(","),
+                 *labels, "--out", str(tmp_path / "cli")]) == 0
+    assert main(["erase", "--method", "inlp", "--x", x,
+                 "--assignment", str(tmp_path / "pipe" / "assignment.csv"),
+                 "--out", str(tmp_path / "cli")]) == 0
+    for name in ("assignment.csv", "trace.csv", "eraser.bin"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "pipe" / name).read_bytes()
 
 
 def test_align_k_zero_rejected_like_score_k_zero(tmp_path, capsys):
@@ -173,7 +200,7 @@ def test_pipeline_out_of_range_seed_label_names_file_and_line(tmp_path, capsys):
     cfg = _pipeline_cfg(tmp_path, "run")
     (tmp_path / "seeds.csv").write_text("0,1\n9999,0\n")
     with open(cfg, "a") as fh:
-        fh.write(f"selection = partial\nseed_labels = {tmp_path / 'seeds.csv'}\n")
+        fh.write(f"seed_labels = {tmp_path / 'seeds.csv'}\n")
     assert main(["pipeline", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert f"{tmp_path / 'seeds.csv'}: line 2: seed label pair 1 (9999, 0)" in err
@@ -245,7 +272,9 @@ def test_pipeline_seed_labels_without_partial_selection_exit_2(tmp_path, capsys)
     with open(cfg, "a") as fh:
         fh.write(f"seed_labels = {tmp_path / 'seeds.csv'}\n")
     assert main(["pipeline", "--config", str(cfg)]) == 2
-    assert "partial selection and a seed_labels file require each other" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'seeds.csv'}: line 1: seed label pair 0 (9999, 7)" in err
+    assert "index must be in [0, 150)" in err and "Traceback" not in err
 
 
 def test_erase_inlp_refuses_sal_only_flags(tmp_path, capsys):

@@ -180,24 +180,22 @@ def _result(objective, seed, pi):
 
 def test_select_model_unsupervised():
     single = _result(5.0, 0, [0, 1])
-    assert _pick_candidate([single], "unsupervised", None) is single
+    assert _pick_candidate([single], None) is single
     second = _result(7.0, 1, [1, 0])
-    assert _pick_candidate([single, second], "unsupervised", None) is second
+    assert _pick_candidate([single, second], None) is second
 
 
 def test_select_model_partial_overrides_objective():
     labels = (np.array([0, 1]), np.array([0, 1]))
     good_fit = _result(5.0, 0, [0, 1, 0, 1])
     high_objective = _result(9.0, 1, [1, 0, 1, 0])
-    assert _pick_candidate([good_fit, high_objective], "unsupervised", None) is high_objective
-    assert _pick_candidate([good_fit, high_objective], "partial", labels) is good_fit
+    assert _pick_candidate([good_fit, high_objective], None) is high_objective
+    assert _pick_candidate([good_fit, high_objective], labels) is good_fit
 
 
 def test_select_model_errors():
     with pytest.raises(NoCandidates):
-        _pick_candidate([], "unsupervised", None)
-    with pytest.raises(InvalidInput):
-        _pick_candidate([_result(1.0, 0, [0])], "partial", None)
+        _pick_candidate([], None)
 
 
 @pytest.mark.parametrize("labels, match", [
@@ -209,18 +207,11 @@ def test_select_model_errors():
 ])
 def test_seed_labels_checked_before_selection(labels, match):
     data, records, _ = _planted(n=120, seed=4)
-    cfg = AmsalConfig(max_iterations=2, num_seeds=1, selection="partial", seed_labels=labels)
+    cfg = AmsalConfig(max_iterations=2, num_seeds=1, seed_labels=labels)
     with pytest.raises(InvalidInput, match=match):
         run_amsal(data.x, records, cfg)
     with pytest.raises(InvalidInput, match=match):
-        kmeans_assign(data.x, records, AmsalConfig(), seed_labels=labels)
-
-
-def test_partial_config_requires_labels():
-    with pytest.raises(InvalidInput):
-        AmsalConfig(selection="partial")
-    with pytest.raises(InvalidInput, match="require each other"):
-        AmsalConfig(seed_labels=([0], [1]))  # seed labels without partial selection
+        kmeans_assign(data.x, records, AmsalConfig(seed_labels=labels))
 
 
 def test_kmeans_recovers_blobs():
@@ -258,7 +249,7 @@ def test_kmeans_partial_labels_flip_mapping():
     # labeled members say the big cluster is record 1
     idx = np.array([0, 1, 2, 40, 41])
     values = np.array([1, 1, 1, 0, 0])
-    flipped = kmeans_assign(x, records, AmsalConfig(rng_seed=0), seed_labels=(idx, values))
+    flipped = kmeans_assign(x, records, AmsalConfig(rng_seed=0, seed_labels=(idx, values)))
     assert np.mean(flipped.map == 1 - states) > 0.9
 
 

@@ -44,7 +44,7 @@ def _valid_files(tmp_path):
     rng = np.random.default_rng(0)
     matrix = rng.standard_normal((3, 2))
     save_matrix(matrix, tmp_path / "m.bin", fmt=BIN)
-    save_matrix(matrix, tmp_path / "m.csv", fmt=CSV, header=True)
+    save_matrix(matrix, tmp_path / "m.csv", fmt=CSV)
     save_eraser(Eraser(kind="sal", input_means=rng.standard_normal(3),
                        basis=np.eye(3)[:, :2], removed=1), tmp_path / "sal.bin")
     save_eraser(Eraser(kind="inlp", input_means=rng.standard_normal(3),
@@ -53,14 +53,14 @@ def _valid_files(tmp_path):
     return {
         "amsl": ("m.bin", amsl, load_matrix),
         "amsl-sniffed": ("m.dat", amsl, load_matrix),
-        "csv": ("m.csv", (tmp_path / "m.csv").read_bytes(), load_matrix),
+        "csv": ("m.csv", b"c0,c1\n" + (tmp_path / "m.csv").read_bytes(), load_matrix),
         "amse-sal": ("e.bin", (tmp_path / "sal.bin").read_bytes(), load_eraser),
         "amse-inlp": ("e.bin", (tmp_path / "inlp.bin").read_bytes(), load_eraser),
         "labels": ("l.csv", b"0\n1\n1\n0\n", load_labels),
         "values": ("v.csv", b"0.5\n-1.25\n3\n", load_values),
         "seed-pairs": ("s.csv", b"0,1\n2,0\n", load_seed_labels),
         "config": ("c.cfg", b"x = x.bin\nrecords = z.bin\noutput_dir = out\n"
-                            b"priors = 0.7, 0.3\nscore_k = 2\nselection = unsupervised\n",
+                            b"priors = 0.7, 0.3\nscore_k = 2\n",
                    _load_config),
     }
 

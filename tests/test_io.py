@@ -32,7 +32,9 @@ from amsal.io import (
     save_report,
     save_trace,
 )
-from amsal.driver import AmsalTrace, TraceRow
+from amsal.assignment import PRIOR_SLACK
+from amsal.driver import AmsalConfig, AmsalTrace, TraceRow
+from amsal.removal import INLP_ROUNDS
 
 
 def test_bin_round_trip_bit_exact(tmp_path):
@@ -61,12 +63,13 @@ def test_csv_bytes_match_per_scalar_formatting(tmp_path):
     m = np.vstack([np.resize(special, (3, 8)), rng.standard_normal((20, 8)),
                    rng.standard_normal((5, 8)) * 1e-300,
                    np.round(rng.standard_normal((4, 8)) * 100)])
-    save_matrix(m, tmp_path / "m.csv", fmt=CSV, header=True)
+    save_matrix(m, tmp_path / "m.csv", fmt=CSV)
     # the row format before rows were formatted from matrix.tolist()
-    expected = ",".join(f"c{j}" for j in range(8)) + "\n" + "".join(
-        ",".join(repr(float(v)) for v in row) + "\n" for row in m)
-    assert (tmp_path / "m.csv").read_bytes() == expected.encode()
+    rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in m)
+    assert (tmp_path / "m.csv").read_bytes() == rows.encode()
     np.testing.assert_array_equal(load_matrix(tmp_path / "m.csv"), m)
+    (tmp_path / "h.csv").write_text(",".join(f"c{j}" for j in range(8)) + "\n" + rows)
+    np.testing.assert_array_equal(load_matrix(tmp_path / "h.csv"), m)
 
 
 def test_trivial_one_by_one(tmp_path):
@@ -80,8 +83,6 @@ def test_csv_header_row(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("a,b\n1.5,2.5\n")
     np.testing.assert_allclose(load_matrix(path), [[1.5, 2.5]])
-    save_matrix(np.array([[1.0, 2.0]]), tmp_path / "w.csv", header=True)
-    assert (tmp_path / "w.csv").read_text().splitlines()[0] == "c0,c1"
 
 
 def test_empty_file_rejected(tmp_path):
@@ -96,7 +97,7 @@ def test_bin_header_errors_carry_offsets(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXX" + b"\x00" * 24)
     with pytest.raises(FormatError, match="byte 0"):
-        load_matrix(path, fmt=BIN)
+        load_matrix(path)
     path.write_bytes(struct.pack("<4sIQQ", b"AMSL", 9, 1, 1) + b"\x00" * 8)
     with pytest.raises(FormatError, match="byte 4"):
         load_matrix(path)
@@ -280,19 +281,37 @@ def test_pipeline_config_errors(tmp_path):
 
 
 def test_pipeline_config_validation(tmp_path):
-    base = dict(x="x.bin", records="z.bin", output_dir=str(tmp_path))
+    for name in ("x.bin", "z.bin"):
+        save_matrix(np.eye(2), tmp_path / name)
+    base = dict(x=str(tmp_path / "x.bin"), records=str(tmp_path / "z.bin"),
+                output_dir=str(tmp_path))
     values = {**{k: "" for k in ("priors", "seed_labels", "y", "truth")},
               "slack": "0.2", "max_iterations": "5", "num_seeds": "1",
-              "rng_seed": "0", "score_k": "full", "selection": "partial",
+              "rng_seed": "0", "score_k": "full",
               "removal": "sal", "removal_rank": "auto", "inlp_rounds": "3",
               "y_kind": "none", **base}
-    cfg = PipelineConfig.from_values(values)
-    with pytest.raises(InvalidInput, match="seed_labels"):
-        cfg.validate()
-    cfg = PipelineConfig.from_values({**values, "selection": "unsupervised",
-                                      "seed_labels": "seed.csv"})
-    with pytest.raises(InvalidInput, match="seed_labels file require each other"):
-        cfg.validate()
+    for change, match in (({"seed_labels": "seed.csv"}, "seed_labels file not found"),
+                          ({"removal": "lasso"}, "removal must be"),
+                          ({"y_kind": "ranking"}, "y_kind must be"),
+                          ({"y_kind": "regression"}, "requires a y file")):
+        cfg = PipelineConfig.from_values({**values, **change})
+        with pytest.raises(InvalidInput, match=match):
+            cfg.validate()
+    PipelineConfig.from_values(values).validate()
+
+
+def test_pipeline_config_from_values_defaults_and_located_errors():
+    required = {"x": "a", "records": "b", "output_dir": "c"}
+    cfg = PipelineConfig.from_values(required)
+    assert cfg == PipelineConfig(x="a", records="b", output_dir="c")
+    assert (cfg.slack, cfg.inlp_rounds, cfg.max_iterations, cfg.score_k) == (
+        PRIOR_SLACK, INLP_ROUNDS, AmsalConfig.max_iterations, AmsalConfig.score_k)
+    with pytest.raises(FormatError, match="^config: missing required key 'records'$"):
+        PipelineConfig.from_values({"x": "a", "output_dir": "c"})
+    with pytest.raises(FormatError, match="^run.cfg: missing required key 'x'$"):
+        PipelineConfig.from_values({**required, "x": ""}, source="run.cfg")
+    with pytest.raises(FormatError, match="^config: unknown key 'selection'$"):
+        PipelineConfig.from_values({**required, "selection": "partial"})
 
 
 def test_eraser_file_rejects_non_finite_blocks(tmp_path):
