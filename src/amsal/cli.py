@@ -45,12 +45,9 @@ def _cmd_synth(args):
     records, truth = as_records(data, slack=args.slack)
     aio.save_matrix(records.z, out / f"z_records.{ext}", fmt=ext)
     aio.save_assignment(truth, out / "truth.csv")
-    with aio._writing(out / "states.csv") as fh:
-        for h in data.states:
-            fh.write(f"{int(h)}\n")
-    with aio._writing(out / "priors.csv") as fh:
-        counts = np.bincount(truth.map, minlength=records.m)
-        fh.write(",".join(repr(float(c) / data.n) for c in counts) + "\n")
+    aio.save_labels(data.states, out / "states.csv")
+    counts = np.bincount(truth.map, minlength=records.m)
+    aio.save_matrix((counts / data.n).reshape(1, -1), out / "priors.csv", fmt=aio.CSV)
     print(f"wrote {data.n} samples ({records.m} unique records) to {out}")
     return 0
 

@@ -13,13 +13,21 @@ rows u64, cols u64 (all little endian), then rows*cols float64 values
 row major. Eraser model files use the same block layout under the magic
 "AMSE". Pipeline configuration is a flat key = value text file so runs
 can be replayed without any extra dependencies.
+
+Matrix files move in about the matrix's own memory: binary payloads go
+straight between the file and the array, and CSV is written a row at a
+time and parsed a line at a time into one float64 buffer. Every text
+reader walks its file a line at a time, so a file with several faults
+reports the first one in file order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import struct
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -41,15 +49,15 @@ CSV = "csv"
 BIN = "bin"
 
 
-def _infer_format(path, data=None):
+def _infer_format(path, head=None):
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":
         return CSV
     if suffix == ".bin":
         return BIN
-    if data is not None and data[:4] == MATRIX_MAGIC:
+    if head is not None and head[:4] == MATRIX_MAGIC:
         return BIN
-    return CSV if data is not None else BIN
+    return CSV if head is not None else BIN
 
 
 def save_matrix(matrix, path, fmt=None):
@@ -58,13 +66,13 @@ def save_matrix(matrix, path, fmt=None):
     fmt = fmt or _infer_format(path)
     if fmt == BIN:
         rows, cols = matrix.shape
-        with _writing(path, "wb") as fh:
+        with _opened(path, "wb") as fh:
             fh.write(struct.pack("<4sIQQ", MATRIX_MAGIC, FORMAT_VERSION, rows, cols))
-            fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(matrix, dtype="<f8"))  # buffer protocol, no copy
     elif fmt == CSV:
-        with _writing(path) as fh:
-            for row in matrix.tolist():  # Python floats: repr is the shortest round trip
-                fh.write(",".join(map(repr, row)) + "\n")
+        with _opened(path, "w") as fh:
+            for row in matrix:  # Python floats: repr is the shortest round trip
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
     else:
         raise InvalidInput(f"unknown matrix format {fmt!r}")
 
@@ -80,9 +88,9 @@ def output_dir(path):
 
 
 @contextmanager
-def _writing(path, mode="w"):
-    """path opened for writing; an OSError while opening or writing it
-    raises InvalidInput naming the path."""
+def _opened(path, mode):
+    """path opened in mode; an OSError while opening, reading or writing
+    it raises InvalidInput naming the path."""
     try:
         with open(path, mode) as fh:
             yield fh
@@ -90,37 +98,44 @@ def _writing(path, mode="w"):
         raise InvalidInput(f"{path}: {exc.strerror}") from None
 
 
-def _read(path, text=False):
-    """A file's bytes, or its UTF-8 text; an unreadable file raises
-    InvalidInput and undecodable text FormatError, both naming the path."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise InvalidInput(f"{path}: {exc.strerror}") from None
-    return _decode(raw, path) if text else raw
-
-
-def _decode(raw, path):
-    """UTF-8 text of raw; FormatError names the byte offset of a bad sequence."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+def _lines(fh, path):
+    """(line number, line) for each line of the binary file fh, split and
+    numbered as str.splitlines() splits its whole text, holding one
+    b"\n"-ended piece of it at a time. An invalid UTF-8 sequence raises
+    FormatError naming its byte offset once the lines before it have
+    been yielded."""
+    ln = 0
+    offset = 0
+    for raw in fh:  # each piece ends at b"\n", which no UTF-8 sequence or "\r\n" spans
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the lines complete before the bad byte come first; "x" ends
+            # the one it falls in, so [:-1] drops that line alone
+            for line in (raw[:exc.start].decode("utf-8") + "x").splitlines()[:-1]:
+                ln += 1
+                yield ln, line
+            raise FormatError(f"{path}: not UTF-8 text at byte {offset + exc.start}") from None
+        offset += len(raw)
+        for line in text.splitlines():
+            ln += 1
+            yield ln, line
 
 
 def load_matrix(path):
     """Read a matrix back, in the format of its suffix or else its magic;
     BIN round trips are bit exact."""
-    raw = _read(path)
-    if _infer_format(path, raw) == BIN:
-        return _parse_bin(raw, path)
-    return _parse_csv(raw, path)
+    with _opened(path, "rb") as fh:
+        if _infer_format(path, fh.peek(4)) == BIN:
+            return _parse_bin(fh, path)
+        return _parse_csv(fh, path)
 
 
-def _parse_bin(raw, path):
-    if len(raw) < 24:
-        raise FormatError(f"{path}: truncated header at byte {len(raw)} (need 24 bytes)")
-    magic, version, rows, cols = struct.unpack_from("<4sIQQ", raw, 0)
+def _parse_bin(fh, path):
+    head = fh.read(24)
+    if len(head) < 24:
+        raise FormatError(f"{path}: truncated header at byte {len(head)} (need 24 bytes)")
+    magic, version, rows, cols = struct.unpack("<4sIQQ", head)
     if magic != MATRIX_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
     if version != FORMAT_VERSION:
@@ -128,20 +143,22 @@ def _parse_bin(raw, path):
     if rows < 1 or cols < 1 or rows * cols > 2**48:
         raise FormatError(f"{path}: bad dimensions {rows}x{cols} at byte 8")
     expect = 24 + rows * cols * 8
-    if len(raw) != expect:
+    size = os.fstat(fh.fileno()).st_size
+    if size == expect:
+        data = np.empty((rows, cols), dtype="<f8")
+        size = 24 + fh.readinto(data)  # less if the file shrank after fstat
+    if size != expect:
         raise FormatError(
-            f"{path}: payload size mismatch at byte 24 (file {len(raw)}, expected {expect})"
+            f"{path}: payload size mismatch at byte 24 (file {size}, expected {expect})"
         )
-    data = np.frombuffer(raw, dtype="<f8", offset=24).reshape(rows, cols).copy()
     return as_matrix(data, str(path))
 
 
-def _parse_csv(raw, path):
-    lines = _decode(raw, path).splitlines()
-    rows = []
+def _parse_csv(fh, path):
+    values = array("d")
     width = None
     header_allowed = True
-    for ln, line in enumerate(lines, start=1):
+    for ln, line in _lines(fh, path):
         if not line.strip():
             continue
         fields = line.split(",")
@@ -158,10 +175,10 @@ def _parse_csv(raw, path):
             width = len(row)
         elif len(row) != width:
             raise FormatError(f"{path}: line {ln}: {len(row)} fields, expected {width}")
-        rows.append(row)
-    if not rows:
+        values.extend(row)
+    if not values:
         raise FormatError(f"{path}: no data rows")
-    return as_matrix(np.asarray(rows, dtype=np.float64), str(path))
+    return as_matrix(np.frombuffer(values, dtype=np.float64).reshape(-1, width), str(path))
 
 
 def _is_float(tok):
@@ -172,10 +189,15 @@ def _is_float(tok):
         return False
 
 
+def save_labels(values, path):
+    """Integers, one per line."""
+    text = "".join(f"{v}\n" for v in np.asarray(values, dtype=np.int64).tolist())
+    with _opened(path, "w") as fh:
+        fh.write(text)
+
+
 def save_assignment(pi, path):
-    with _writing(path) as fh:
-        for j in pi.map:
-            fh.write(f"{int(j)}\n")
+    save_labels(pi.map, path)
 
 
 def load_assignment(path, n=None, m=None):
@@ -217,13 +239,14 @@ def _int64(tok):
 
 def _load_column(path, parse, what, dtype):
     values = []
-    for ln, line in enumerate(_read(path, text=True).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            values.append(parse(line.strip()))
-        except ValueError:
-            raise FormatError(f"{path}: line {ln}: not {what}") from None
+    with _opened(path, "rb") as fh:
+        for ln, line in _lines(fh, path):
+            if not line.strip():
+                continue
+            try:
+                values.append(parse(line.strip()))
+            except ValueError:
+                raise FormatError(f"{path}: line {ln}: not {what}") from None
     if not values:
         raise FormatError(f"{path}: no data rows")
     return np.asarray(values, dtype=dtype)
@@ -234,23 +257,24 @@ def load_seed_labels(path, n=None, m=None):
     n given each index must lie in [0, n), and with m each record id in
     [0, m); errors name the path and the line."""
     idx, val = [], []
-    for ln, line in enumerate(_read(path, text=True).splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise FormatError(f"{path}: line {ln}: expected index,record")
-        try:
-            i, j = _int64(fields[0]), _int64(fields[1])
-        except ValueError:
-            raise FormatError(f"{path}: line {ln}: not an integer pair") from None
-        pair = f"{path}: line {ln}: seed label pair {len(idx)} ({i}, {j})"
-        if n is not None and not 0 <= i < n:
-            raise InvalidInput(f"{pair}: index must be in [0, {n})")
-        if m is not None and not 0 <= j < m:
-            raise InvalidInput(f"{pair}: record id must be in [0, {m})")
-        idx.append(i)
-        val.append(j)
+    with _opened(path, "rb") as fh:
+        for ln, line in _lines(fh, path):
+            if not line.strip():
+                continue
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise FormatError(f"{path}: line {ln}: expected index,record")
+            try:
+                i, j = _int64(fields[0]), _int64(fields[1])
+            except ValueError:
+                raise FormatError(f"{path}: line {ln}: not an integer pair") from None
+            pair = f"{path}: line {ln}: seed label pair {len(idx)} ({i}, {j})"
+            if n is not None and not 0 <= i < n:
+                raise InvalidInput(f"{pair}: index must be in [0, {n})")
+            if m is not None and not 0 <= j < m:
+                raise InvalidInput(f"{pair}: record id must be in [0, {m})")
+            idx.append(i)
+            val.append(j)
     if not idx:
         raise FormatError(f"{path}: no data rows")
     return np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.int64)
@@ -259,7 +283,7 @@ def load_seed_labels(path, n=None, m=None):
 def _write_block(fh, matrix):
     rows, cols = matrix.shape
     fh.write(struct.pack("<QQ", rows, cols))
-    fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+    fh.write(np.ascontiguousarray(matrix, dtype="<f8"))
 
 
 def _read_block(raw, offset, path):
@@ -280,14 +304,15 @@ def _read_block(raw, offset, path):
 def save_eraser(eraser, path):
     kind = 0 if eraser.kind == SAL else 1
     extra = eraser.removed if eraser.kind == SAL else eraser.iterations
-    with _writing(path, "wb") as fh:
+    with _opened(path, "wb") as fh:
         fh.write(struct.pack("<4sIBI", ERASER_MAGIC, FORMAT_VERSION, kind, int(extra)))
         _write_block(fh, eraser.input_means.reshape(1, -1))
         _write_block(fh, eraser.basis if eraser.kind == SAL else eraser.projection)
 
 
 def load_eraser(path):
-    raw = _read(path)
+    with _opened(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < 13:
         raise FormatError(f"{path}: truncated header at byte {len(raw)}")
     magic, version, kind, extra = struct.unpack_from("<4sIBI", raw, 0)
@@ -313,7 +338,7 @@ def load_eraser(path):
 
 def save_trace(trace, path):
     """Objective trace as CSV: iteration, seed, objective, accuracy (blank without truth)."""
-    with _writing(path) as fh:
+    with _opened(path, "w") as fh:
         fh.write("iteration,seed,objective,accuracy\n")
         for row in trace.rows:
             acc = "" if np.isnan(row.accuracy) else repr(row.accuracy)
@@ -321,12 +346,12 @@ def save_trace(trace, path):
 
 
 def format_report(report):
-    lines = [f"{key} = {repr(value)}" for key, value in report.as_dict().items()]
-    return "\n".join(lines) + "\n"
+    """One "key = value" line per score the report holds; "" when it holds none."""
+    return "".join(f"{key} = {value!r}\n" for key, value in report.as_dict().items())
 
 
 def save_report(report, path):
-    with _writing(path) as fh:
+    with _opened(path, "w") as fh:
         fh.write(format_report(report))
 
 
@@ -382,17 +407,18 @@ class PipelineConfig:
     def from_file(cls, path):
         keys = {f.name for f in dataclasses.fields(cls)}
         values = {}
-        for ln, line in enumerate(_read(path, text=True).splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise FormatError(f"{path}: line {ln}: expected key = value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in keys:
-                raise FormatError(f"{path}: line {ln}: unknown key {key!r}")
-            values[key] = value.strip()
+        with _opened(path, "rb") as fh:
+            for ln, line in _lines(fh, path):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                if "=" not in stripped:
+                    raise FormatError(f"{path}: line {ln}: expected key = value")
+                key, _, value = stripped.partition("=")
+                key = key.strip()
+                if key not in keys:
+                    raise FormatError(f"{path}: line {ln}: unknown key {key!r}")
+                values[key] = value.strip()
         return cls.from_values(values, source=str(path))
 
     @classmethod

@@ -26,6 +26,10 @@ def test_synth_writes_expected_files(tmp_path):
     truth = load_assignment(out / "truth.csv")
     records = load_matrix(out / "z_records.bin")
     assert truth.map.max() < records.shape[0]
+    states = load_labels(out / "states.csv")
+    assert (out / "states.csv").read_text() == "".join(f"{int(h)}\n" for h in states)
+    counts = np.bincount(truth.map, minlength=records.shape[0])
+    assert (out / "priors.csv").read_text() == ",".join(repr(float(c) / 120) for c in counts) + "\n"
 
 
 def test_align_and_erase_cli(tmp_path, capsys):
@@ -112,6 +116,17 @@ def test_pipeline_cli_end_to_end(tmp_path, capsys):
     out = tmp_path / "run1"
     for name in ("assignment.csv", "eraser.bin", "x_erased.bin", "trace.csv", "report.txt"):
         assert (out / name).exists(), name
+
+
+def test_pipeline_with_nothing_to_report_writes_an_empty_report(tmp_path, capsys):
+    data = _synth(tmp_path, n=60)
+    cfg = tmp_path / "bare.cfg"
+    cfg.write_text(f"x = {data / 'x.bin'}\nrecords = {data / 'z_records.bin'}\n"
+                   f"output_dir = {tmp_path / 'out'}\n")
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "out" / "report.txt").read_bytes() == b""
 
 
 def test_pipeline_reruns_byte_identical(tmp_path):
@@ -261,7 +276,7 @@ def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, command):
     assert f"InvalidInput: {missing}: No such file or directory" in capsys.readouterr().err
 
     bad = tmp_path / "bad.csv"
-    bad.write_bytes(b"0\n\xff\xfe\n")
+    bad.write_bytes(b" \n\xff\xfe\n")  # line 1 is blank in every format
     assert main(_unreadable_input_argv(tmp_path, str(bad))[command]) == 2
     assert f"FormatError: {bad}: not UTF-8 text at byte 2" in capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -127,6 +128,74 @@ def test_csv_errors_carry_line_and_field(tmp_path):
     path.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(FormatError, match="line 2"):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("fmt", [CSV, BIN])
+def test_matrix_files_move_in_about_the_matrix_memory(tmp_path, fmt):
+    m = np.random.default_rng(4).standard_normal((3000, 64))
+    path = tmp_path / f"m.{fmt}"
+    tracemalloc.start()
+    try:
+        save_matrix(m, path)
+        saved = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_matrix(path)
+        loaded = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back, m)
+    assert saved < 0.5 * m.nbytes
+    assert loaded < 1.5 * m.nbytes  # the result plus a bounded transient
+
+
+def test_text_line_rules(tmp_path):
+    # lines end at "\r\n", a lone "\r", "\x0c", "\x0b", U+2028 or "\n", as
+    # str.splitlines() splits a whole text; blank lines count in the numbering
+    csv = tmp_path / "m.csv"
+    csv.write_bytes(b"a,b\r\n1,2\r3,4\x0c\r\n5,6\x0b7,8\xe2\x80\xa89,10\n")
+    np.testing.assert_array_equal(load_matrix(csv), [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]])
+    csv.write_bytes(b"1,2\r\n3,4\r\r5,6\x0c7\n")
+    with pytest.raises(FormatError, match="m.csv: line 5: 1 fields, expected 2"):
+        load_matrix(csv)
+    labels = tmp_path / "y.csv"
+    labels.write_bytes(b"1\r\n2\r3\x0c\n4\xe2\x80\xa85\r\n")
+    np.testing.assert_array_equal(load_labels(labels), [1, 2, 3, 4, 5])
+    labels.write_bytes(b"1\r\n2\r3\x0c\n4\xe2\x80\xa8x\r\n")
+    with pytest.raises(FormatError, match="y.csv: line 6: not an integer"):
+        load_labels(labels)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"x = a\r\nrecords = b\routput_dir = c\x0c\r\nnum_seeds = 2\n")
+    parsed = PipelineConfig.from_file(cfg)
+    assert (parsed.x, parsed.records, parsed.output_dir, parsed.num_seeds) == ("a", "b", "c", 2)
+    cfg.write_bytes(b"x = a\r\nrecords = b\routput_dir = c\x0c\r\nbogus\n")
+    with pytest.raises(FormatError, match="run.cfg: line 5: expected key = value"):
+        PipelineConfig.from_file(cfg)
+
+
+def test_utf8_fault_on_a_later_line_names_its_byte(tmp_path):
+    path = tmp_path / "m.csv"
+    body = b"1.5,2.5\n" * 5000  # spans several read buffers
+    path.write_bytes(body + b"3.5,4\xc3\n")
+    with pytest.raises(FormatError, match=f"m.csv: not UTF-8 text at byte {len(body) + 5}$"):
+        load_matrix(path)
+    path.write_bytes(b"1\r2\r3\r\xff\r")  # one "\n"-free piece
+    with pytest.raises(FormatError, match="m.csv: not UTF-8 text at byte 6$"):
+        load_labels(path)
+
+
+@pytest.mark.parametrize("load, first", [
+    (load_matrix, b"1"), (load_labels, b"1"), (load_values, b"1"),
+    (load_seed_labels, b"0,1"), (PipelineConfig.from_file, b"x = a"),
+])
+def test_first_fault_in_file_order_is_reported(tmp_path, load, first):
+    path = tmp_path / "f.csv"
+    for sep in (b"\n", b"\r"):
+        path.write_bytes(sep.join([first, b"zz", b"\xff", b""]))
+        with pytest.raises(FormatError, match="f.csv: line 2"):
+            load(path)
+        path.write_bytes(sep.join([first, b"\xff", b"zz", b""]))
+        with pytest.raises(FormatError, match=f"f.csv: not UTF-8 text at byte {len(first) + 1}"):
+            load(path)
 
 
 def test_assignment_and_label_files(tmp_path):
@@ -340,7 +409,8 @@ def test_unreadable_or_undecodable_file_is_located(tmp_path, load):
         load(tmp_path)
     if load is not load_eraser:
         bad = tmp_path / "bad.csv"
-        bad.write_bytes(b"1\n\xff\xfe2\n")
+        # line 1 is blank, so every reader reaches the bad byte on line 2
+        bad.write_bytes(b" \n\xff\xfe2\n")
         with pytest.raises(FormatError, match=re.escape(f"{bad}: not UTF-8 text at byte 2")):
             load(bad)
 
