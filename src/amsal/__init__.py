@@ -24,7 +24,6 @@ from .errors import (
     FormatError,
     InfeasibleBounds,
     InvalidInput,
-    NoCandidates,
 )
 from .linalg import (
     SvdResult,

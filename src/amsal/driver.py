@@ -7,8 +7,8 @@ assignment (the assignment step). Both half-steps maximize the same
 objective sum_i <U_k^T x_i, V_k^T z_{pi(i)}> with the other block held
 fixed, so the objective never decreases along a run.
 
-The driver repeats this from several random feasible starts, keeps every
-(seed, iteration) candidate, and picks either the candidate with the
+The driver repeats this from several random feasible starts, scores every
+(seed, iteration) iterate as it arrives and keeps the best so far: the
 largest objective (unsupervised) or the one most consistent with a small
 labeled seed set (partial supervision). A k-means baseline that replaces
 the alternating steps with Lloyd clustering is included for comparison.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .assignment import (Assignment, GuardedRecords, assignment_objective, score_matrix,
                          solve_assignment)
-from .errors import InvalidInput, NoCandidates
+from .errors import InvalidInput
 from .linalg import SvdResult, as_matrix, center_columns, cross_covariance, svd
 
 
@@ -141,14 +141,14 @@ def alignment_accuracy(pi, truth):
 
 
 def run_amsal(x, records, cfg, truth=None):
-    """Full multi-start alternating run with per-iteration candidate retention.
+    """Full multi-start alternating run that keeps the best iterate so far.
 
     Inputs are centered defensively (both x and the record rows). A seed
     stops early once the A-step returns the map unchanged; every iterate
-    of every seed stays in the candidate pool, and the final projection
-    is recomputed from the selected map so it always matches the returned
-    assignment. Per-seed RNG streams are split from cfg.rng_seed, so the
-    result is a pure function of (inputs, cfg).
+    is scored and the best so far kept (the earliest on ties), and the
+    final projection is recomputed from the selected map so it always
+    matches the returned assignment. Per-seed RNG streams are split from
+    cfg.rng_seed, so the result is a pure function of (inputs, cfg).
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
@@ -161,21 +161,22 @@ def run_amsal(x, records, cfg, truth=None):
     centered = GuardedRecords(z_c, records.lower_bounds, records.upper_bounds)
 
     rows = []
-    candidates = []  # (seed, iteration, objective, pi)
+    best = best_key = None  # best: (seed, objective, pi)
     for seed_idx, child in enumerate(np.random.SeedSequence(cfg.rng_seed).spawn(cfg.num_seeds)):
         rng = np.random.default_rng(child)
         pi = random_feasible_assignment(centered, n, rng)
         for iteration in range(1, cfg.max_iterations + 1):
-            new_pi, proj, objective = am_iterate(x_c, centered, pi, cfg)
+            new_pi, _, objective = am_iterate(x_c, centered, pi, cfg)
             acc = alignment_accuracy(new_pi, truth) if truth is not None else float("nan")
             rows.append(TraceRow(seed_idx, iteration, objective, _hash_map(new_pi), acc))
-            candidates.append((seed_idx, iteration, objective, new_pi))
+            key = _candidate_key(objective, new_pi, seed_labels)
+            if best is None or key > best_key:
+                best, best_key = (seed_idx, objective, new_pi), key
             if np.array_equal(new_pi.map, pi.map):
                 break
             pi = new_pi
 
-    best = _pick_candidate(candidates, seed_labels)
-    seed_idx, _, objective, pi = best
+    seed_idx, objective, pi = best
     projection = svd(cross_covariance(x_c, z_c, pi))
     return AmsalResult(
         assignment=pi,
@@ -188,7 +189,8 @@ def run_amsal(x, records, cfg, truth=None):
 
 def _checked_seed_labels(seed_labels, n, m):
     """Seed pairs as int64 (indices, record ids), each index in [0, n) and
-    each record id in [0, m); InvalidInput names the first bad pair."""
+    given once, each record id in [0, m); InvalidInput names the first
+    bad pair, and for a repeated index the pair it repeats."""
     idx, values = (np.asarray(a, dtype=np.int64) for a in seed_labels)
     if idx.ndim != 1 or idx.size < 1 or idx.shape != values.shape:
         raise InvalidInput("seed labels need equal non-empty lists of indices and "
@@ -198,22 +200,22 @@ def _checked_seed_labels(seed_labels, n, m):
         k = int(bad[0])
         raise InvalidInput(f"seed label pair {k} ({idx[k]}, {values[k]}): index must "
                            f"be in [0, {n}) and record id in [0, {m})")
+    first = {}  # input index -> first pair that gives it
+    for k, i in enumerate(idx.tolist()):
+        j = first.setdefault(i, k)
+        if j != k:
+            raise InvalidInput(f"seed label pair {k} ({i}, {values[k]}) repeats the "
+                               f"index of pair {j} ({i}, {values[j]})")
     return idx, values
 
 
-def _pick_candidate(candidates, seed_labels):
-    """Pick among (seed, iteration, objective, pi) candidates: the largest
-    objective, or with checked seed pairs the best accuracy on them with
-    objective next; the earliest (seed, iteration) breaks ties."""
-    if not candidates:
-        raise NoCandidates("no candidates to select from")
-    if seed_labels is not None:
-        idx, values = seed_labels
-        return max(
-            candidates,
-            key=lambda c: (float(np.mean(c[3].map[idx] == values)), c[2], -c[0], -c[1]),
-        )
-    return max(candidates, key=lambda c: (c[2], -c[0], -c[1]))
+def _candidate_key(objective, pi, seed_labels):
+    """Selection key of one iterate: its objective, or with checked seed
+    pairs its accuracy on them with the objective next."""
+    if seed_labels is None:
+        return (objective,)
+    idx, values = seed_labels
+    return float(np.mean(pi.map[idx] == values)), objective
 
 
 def kmeans_assign(x, records, cfg):
@@ -241,10 +243,10 @@ def kmeans_assign(x, records, cfg):
     if cfg.seed_labels is not None:
         idx, values = _checked_seed_labels(cfg.seed_labels, n, m)
         for cl in order_clusters:
-            members = idx[labels[idx] == cl]
-            if members.size == 0:
+            in_cl = labels[idx] == cl
+            if not in_cl.any():
                 continue
-            votes = np.bincount(values[labels[idx] == cl], minlength=m)
+            votes = np.bincount(values[in_cl], minlength=m)
             rec = int(np.argmax(votes))
             if not taken[rec]:
                 cluster_to_record[cl] = rec
@@ -254,8 +256,13 @@ def kmeans_assign(x, records, cfg):
         if cluster_to_record[cl] < 0:
             cluster_to_record[cl] = free_records.pop(0)
     record_centers = centers[np.argsort(cluster_to_record)]
-    dists = ((x[:, None, :] - record_centers[None, :, :]) ** 2).sum(axis=2)
-    return solve_assignment(-dists, records)
+    return solve_assignment(-_sq_dists(x, record_centers), records)
+
+
+def _sq_dists(x, centers):
+    """(n, k) squared distances from the rows of x to the centers, one (n, d)
+    temporary at a time; bit-identical to the (n, k, d) broadcast's sums."""
+    return np.stack([((x - c) ** 2).sum(axis=1) for c in centers], axis=1)
 
 
 def _lloyd(x, k, rng, max_sweeps=100):
@@ -263,21 +270,20 @@ def _lloyd(x, k, rng, max_sweeps=100):
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    d2 = _sq_dists(x, centers[:1])[:, 0]
     for j in range(1, k):
         centers[j] = x[int(np.argmax(d2))]
-        d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_dists(x, centers[j:j + 1])[:, 0])
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(max_sweeps):
-        dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dists.argmin(axis=1)
+        new_labels = _sq_dists(x, centers).argmin(axis=1)
         for j in range(k):
             mask = new_labels == j
             if mask.any():
                 centers[j] = x[mask].mean(axis=0)
             else:
                 # re-seed an empty cluster from the farthest point
-                far = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+                far = _sq_dists(x, centers).min(axis=1)
                 centers[j] = x[int(np.argmax(far))]
                 new_labels[int(np.argmax(far))] = j
         if np.array_equal(new_labels, labels):

@@ -15,7 +15,3 @@ class InfeasibleBounds(AmsalError):
 
 class FormatError(AmsalError):
     """A file does not conform to one of the supported on-disk formats."""
-
-
-class NoCandidates(AmsalError):
-    """Model selection was invoked with an empty candidate list."""

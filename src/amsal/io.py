@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import stat
 import struct
 from array import array
 from contextlib import contextmanager
@@ -132,6 +133,9 @@ def load_matrix(path):
 
 
 def _parse_bin(fh, path):
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode):
+        raise FormatError(f"{path}: a BIN matrix must be a regular file (a pipe has no size)")
     head = fh.read(24)
     if len(head) < 24:
         raise FormatError(f"{path}: truncated header at byte {len(head)} (need 24 bytes)")
@@ -143,7 +147,7 @@ def _parse_bin(fh, path):
     if rows < 1 or cols < 1 or rows * cols > 2**48:
         raise FormatError(f"{path}: bad dimensions {rows}x{cols} at byte 8")
     expect = 24 + rows * cols * 8
-    size = os.fstat(fh.fileno()).st_size
+    size = info.st_size
     if size == expect:
         data = np.empty((rows, cols), dtype="<f8")
         size = 24 + fh.readinto(data)  # less if the file shrank after fstat
@@ -255,8 +259,10 @@ def _load_column(path, parse, what, dtype):
 def load_seed_labels(path, n=None, m=None):
     """Partial-supervision pairs: lines of "input_index,record_index". With
     n given each index must lie in [0, n), and with m each record id in
-    [0, m); errors name the path and the line."""
+    [0, m), and no index may be given twice; errors name the path and the
+    line."""
     idx, val = [], []
+    first_line = {}  # input index -> line that gave it
     with _opened(path, "rb") as fh:
         for ln, line in _lines(fh, path):
             if not line.strip():
@@ -273,6 +279,9 @@ def load_seed_labels(path, n=None, m=None):
                 raise InvalidInput(f"{pair}: index must be in [0, {n})")
             if m is not None and not 0 <= j < m:
                 raise InvalidInput(f"{pair}: record id must be in [0, {m})")
+            if i in first_line:
+                raise InvalidInput(f"{pair}: index {i} repeats line {first_line[i]}")
+            first_line[i] = ln
             idx.append(i)
             val.append(j)
     if not idx:
@@ -407,6 +416,7 @@ class PipelineConfig:
     def from_file(cls, path):
         keys = {f.name for f in dataclasses.fields(cls)}
         values = {}
+        lines = {}  # key -> line that set it
         with _opened(path, "rb") as fh:
             for ln, line in _lines(fh, path):
                 stripped = line.strip()
@@ -418,6 +428,9 @@ class PipelineConfig:
                 key = key.strip()
                 if key not in keys:
                     raise FormatError(f"{path}: line {ln}: unknown key {key!r}")
+                if key in lines:
+                    raise FormatError(f"{path}: line {ln}: key {key!r} repeats line {lines[key]}")
+                lines[key] = ln
                 values[key] = value.strip()
         return cls.from_values(values, source=str(path))
 

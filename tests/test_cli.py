@@ -209,6 +209,10 @@ def test_align_out_of_range_seed_label_exits_2(tmp_path, capsys):
     assert main(argv) == 2
     assert f"{seeds}: line 2: seed label pair 1 (3, 2): record id must be in [0, 2)" in (
         capsys.readouterr().err)
+    seeds.write_text("3,0\n5,1\n3,1\n")
+    assert main(argv) == 2
+    assert f"{seeds}: line 3: seed label pair 2 (3, 1): index 3 repeats line 1" in (
+        capsys.readouterr().err)
 
 
 def test_pipeline_out_of_range_seed_label_names_file_and_line(tmp_path, capsys):
@@ -220,6 +224,10 @@ def test_pipeline_out_of_range_seed_label_names_file_and_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{tmp_path / 'seeds.csv'}: line 2: seed label pair 1 (9999, 0)" in err
     assert "index must be in [0, 150)" in err and "Traceback" not in err
+    (tmp_path / "seeds.csv").write_text("7,1\n7,1\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert (f"{tmp_path / 'seeds.csv'}: line 2: seed label pair 1 (7, 1): "
+            "index 7 repeats line 1") in capsys.readouterr().err
 
 
 def test_align_prior_count_mismatch_is_located(tmp_path, capsys):

@@ -1,13 +1,20 @@
+import tracemalloc
+import weakref
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_assignment import reference_random_feasible_assignment
+from reference_selection import reference_pick_candidate
 
 from amsal import (
     AmsalConfig,
     Assignment,
     GuardedRecords,
     InvalidInput,
-    NoCandidates,
+    LatentSpec,
     alignment_accuracy,
     am_iterate,
     as_records,
@@ -22,7 +29,7 @@ from amsal import (
     singular_value_sum,
     svd,
 )
-from amsal.driver import _lloyd, _pick_candidate
+from amsal.driver import _lloyd, _sq_dists
 
 
 def _centered_records(records):
@@ -173,29 +180,110 @@ def test_random_feasible_assignment_matches_per_unit_draws_corpus():
         assert chunked.bit_generator.state == per_unit.bit_generator.state
 
 
-def _result(objective, seed, pi):
-    # a run_amsal candidate: (seed, iteration, objective, map)
-    return (seed, 1, objective, Assignment(np.asarray(pi, dtype=np.int64)))
+def _pick_from_stream(stream, num_seeds, max_iterations, seed_labels=None):
+    """Run run_amsal with each A-step replaced by the next (objective, map)
+    of stream and check its pick against the list-based reference rule
+    over the candidates it saw; returns the (seed, iteration) picked.
+
+    Each map is handed over as a fresh Assignment that only run_amsal
+    holds, so the check also counts how many of them it keeps alive."""
+    n, m = len(stream[0][1]), 3
+    items = iter(stream)
+    handed, seen, most_alive = [], [], 0
+
+    def a_step(x, records, pi, cfg):
+        nonlocal most_alive
+        most_alive = max(most_alive, sum(ref() is not None for ref in handed))
+        objective, raw = next(items)
+        new_pi = Assignment(np.array(raw))
+        handed.append(weakref.ref(new_pi))
+        seen.append((objective, raw))
+        return new_pi, None, objective
+
+    x = np.random.default_rng(0).standard_normal((n, 2))
+    records = GuardedRecords(np.arange(m, dtype=float)[:, None], np.zeros(m, int), np.full(m, n))
+    cfg = AmsalConfig(max_iterations=max_iterations, num_seeds=num_seeds, seed_labels=seed_labels)
+    with mock.patch("amsal.driver.am_iterate", a_step):
+        result = run_amsal(x, records, cfg)
+    assert len(result.trace.rows) == len(seen)
+    candidates = [(row.seed, row.iteration, objective, Assignment(np.array(raw)))
+                  for row, (objective, raw) in zip(result.trace.rows, seen)]
+    best = reference_pick_candidate(candidates, seed_labels)
+    k = next(i for i, c in enumerate(candidates) if c is best)
+    assert handed[k]() is result.assignment
+    assert (result.seed, result.objective) == (best[0], best[2])
+    # the kept best and the current map, never the pool
+    assert most_alive <= 2
+    return best[0], best[1]
+
+
+@st.composite
+def _candidate_streams(draw):
+    """Streams of few distinct objectives (-0.0 ties 0.0) and short maps
+    over three records, so objectives and seed-label accuracies tie often
+    and equal consecutive maps stop seeds early."""
+    n = draw(st.integers(2, 5))
+    num_seeds = draw(st.integers(1, 4))
+    max_iterations = draw(st.integers(1, 5))
+    size = num_seeds * max_iterations
+    maps = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    objectives = st.sampled_from([-1.0, -0.0, 0.0, 2.5])
+    stream = draw(st.lists(st.tuples(objectives, maps), min_size=size, max_size=size))
+    seed_labels = None
+    if draw(st.booleans()):
+        idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        values = draw(st.lists(st.integers(0, 2), min_size=len(idx), max_size=len(idx)))
+        seed_labels = (np.array(idx), np.array(values))
+    return stream, num_seeds, max_iterations, seed_labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_candidate_streams())
+def test_online_selection_matches_the_list_rule(case):
+    _pick_from_stream(*case)
 
 
 def test_select_model_unsupervised():
-    single = _result(5.0, 0, [0, 1])
-    assert _pick_candidate([single], None) is single
-    second = _result(7.0, 1, [1, 0])
-    assert _pick_candidate([single, second], None) is second
+    assert _pick_from_stream([(5.0, [0, 1])], 1, 1) == (0, 1)
+    assert _pick_from_stream([(5.0, [0, 1]), (7.0, [1, 0])], 2, 1) == (1, 1)
 
 
 def test_select_model_partial_overrides_objective():
     labels = (np.array([0, 1]), np.array([0, 1]))
-    good_fit = _result(5.0, 0, [0, 1, 0, 1])
-    high_objective = _result(9.0, 1, [1, 0, 1, 0])
-    assert _pick_candidate([good_fit, high_objective], None) is high_objective
-    assert _pick_candidate([good_fit, high_objective], labels) is good_fit
+    good_fit, high_objective = (5.0, [0, 1, 0, 1]), (9.0, [1, 0, 1, 0])
+    assert _pick_from_stream([good_fit, high_objective], 2, 1) == (1, 1)
+    assert _pick_from_stream([good_fit, high_objective], 2, 1, labels) == (0, 1)
 
 
 def test_select_model_errors():
-    with pytest.raises(NoCandidates):
-        _pick_candidate([], None)
+    # a run without candidates cannot be configured, so selection needs no
+    # empty case; on a full tie the earliest candidate is kept
+    with pytest.raises(InvalidInput, match="num_seeds"):
+        AmsalConfig(num_seeds=0)
+    with pytest.raises(InvalidInput, match="max_iterations"):
+        AmsalConfig(max_iterations=0)
+    tie = [(1.0, [0, 1]), (1.0, [1, 1]), (1.0, [1, 0]), (1.0, [0, 0])]
+    assert _pick_from_stream(tie, 2, 2) == (0, 1)
+    assert _pick_from_stream(tie, 2, 2, ([0], [1])) == (0, 2)
+
+
+def test_run_amsal_memory_does_not_grow_with_the_candidate_count():
+    n = 8000
+    spec = LatentSpec(n=n, d=8, d_prime=2, num_states=3, state_priors=(0.5, 0.3, 0.2),
+                      z_noise=0.0, rng_seed=3)
+    data = generate_latent(spec)
+    records, _ = as_records(data, slack=0.2)
+    peaks, rows = [], []
+    for num_seeds in (1, 6):
+        tracemalloc.start()
+        try:
+            result = run_amsal(data.x, records, AmsalConfig(num_seeds=num_seeds, rng_seed=0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rows.append(len(result.trace.rows))
+    assert rows[1] > 40  # a pool of every candidate would hold that many maps
+    assert peaks[1] - peaks[0] < 4 * n * 8
 
 
 @pytest.mark.parametrize("labels, match", [
@@ -204,6 +292,8 @@ def test_select_model_errors():
     (([3, 4], [0, 2]), r"pair 1 \(4, 2\)"),
     (([0, 1], [0]), "equal non-empty"),
     (([], []), "equal non-empty"),
+    (([3, 5, 3], [0, 1, 1]), r"pair 2 \(3, 1\) repeats the index of pair 0 \(3, 0\)"),
+    (([4, 4], [1, 1]), r"pair 1 \(4, 1\) repeats the index of pair 0 \(4, 1\)"),
 ])
 def test_seed_labels_checked_before_selection(labels, match):
     data, records, _ = _planted(n=120, seed=4)
@@ -251,6 +341,31 @@ def test_kmeans_partial_labels_flip_mapping():
     values = np.array([1, 1, 1, 0, 0])
     flipped = kmeans_assign(x, records, AmsalConfig(rng_seed=0, seed_labels=(idx, values)))
     assert np.mean(flipped.map == 1 - states) > 0.9
+
+
+def test_kmeans_assign_peak_stays_under_twice_the_input():
+    x = np.random.default_rng(12).standard_normal((4000, 64))
+    lower, upper = bounds_from_priors(np.full(8, 1 / 8), 4000, 0.2)
+    records = GuardedRecords(np.random.default_rng(13).standard_normal((8, 3)), lower, upper)
+    tracemalloc.start()
+    try:
+        pi = kmeans_assign(x, records, AmsalConfig(rng_seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pi.satisfies(records)
+    assert peak < 2 * x.nbytes  # an (n, k, d) distance broadcast alone is k times x
+
+
+@pytest.mark.parametrize("n, k, d, order", [
+    (7, 3, 5, "C"), (333, 5, 129, "C"), (200, 8, 768, "F"), (50, 1, 1, "C"),
+])
+def test_sq_dists_equals_the_broadcast_formula(n, k, d, order):
+    rng = np.random.default_rng(n + k + d)
+    x = np.asarray(rng.standard_normal((n, d)) * 30.0, order=order)
+    centers = rng.standard_normal((k, d))
+    expected = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    np.testing.assert_array_equal(_sq_dists(x, centers), expected)
 
 
 def _greedy_kmeans(x, records, cfg):

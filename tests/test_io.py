@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 import tracemalloc
@@ -120,6 +121,20 @@ def test_bin_nonfinite_rejected(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+def test_bin_matrix_from_a_pipe_is_refused_as_not_a_regular_file(tmp_path):
+    save_matrix(np.eye(3), tmp_path / "m.bin")
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, (tmp_path / "m.bin").read_bytes())
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        with pytest.raises(FormatError, match=f"^{path}: a BIN matrix must be a regular file"):
+            load_matrix(path)
+    finally:
+        os.close(read_end)
+
+
 def test_csv_errors_carry_line_and_field(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0,oops\n")
@@ -221,6 +236,11 @@ def test_assignment_and_label_files(tmp_path):
     with pytest.raises(InvalidInput, match=r"seed.csv: line 1: seed label pair 0 \(0, 1\): "
                                            r"record id must be in \[0, 1\)"):
         load_seed_labels(tmp_path / "seed.csv", 6, 1)
+    for first in ("3,0", "3,1"):  # a repeat is refused even with the same record id
+        (tmp_path / "seed.csv").write_text(f"{first}\n5,1\n\n3,1\n")
+        with pytest.raises(InvalidInput, match=r"seed.csv: line 4: seed label pair 2 \(3, 1\): "
+                                               r"index 3 repeats line 1$"):
+            load_seed_labels(tmp_path / "seed.csv")
     (tmp_path / "neg.csv").write_text("-1,0\n")
     with pytest.raises(InvalidInput, match="line 1: seed label pair 0 \\(-1, 0\\)"):
         load_seed_labels(tmp_path / "neg.csv", 6, 2)
@@ -346,6 +366,9 @@ def test_pipeline_config_errors(tmp_path):
         PipelineConfig.from_file(cfg_path)
     cfg_path.write_text("x = a\nrecords = b\noutput_dir = c\nnum_seeds = lots\n")
     with pytest.raises(FormatError, match="bad field"):
+        PipelineConfig.from_file(cfg_path)
+    cfg_path.write_text("x = a.bin\nrecords = b\n# x = c.bin\nx = b.bin\noutput_dir = c\n")
+    with pytest.raises(FormatError, match="bad.cfg: line 4: key 'x' repeats line 1$"):
         PipelineConfig.from_file(cfg_path)
 
 
