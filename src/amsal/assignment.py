@@ -8,26 +8,31 @@ reasoning instead of a general ILP. The solver keeps a record price
 phi[j] next to the map: the LP dual of the count bounds, measured
 against a slack node whose potential absorbs the bound slack.
 
-1. `_price_start` takes the row-wise argmax of c - phi, where one
-   vectorized pass sets the price of each record whose count is out of
-   bounds so that its count lands on the violated bound (a dual start in
-   the spirit of auction methods for transportation problems; Bertsekas
-   & Castanon, 1989). If every count is within bounds, at its upper
-   bound where phi > 0 and at its lower bound where phi < 0, then
-   complementary slackness holds: the map is optimal and the prices
-   (slack potential 0) are optimal duals, and the solver goes straight
-   to step 2. Otherwise `_initial_optimum` repairs the bounds on the
-   condensed residual graph, one node per record, where arc u -> v
-   carries the best gain of moving a single input from u to v. The arc
-   table is an m x m array kept by `_MoveGains`: one gather over sorted
-   blocks builds it, and a move re-reads only the arcs the moved input
-   witnessed. The repair shifts one unit of count at a time along the
-   best chain of moves until the bounds hold and no shift gains
-   (successive shortest paths; Ahuja, Magnanti & Orlin, Network Flows,
-   1993, ch. 9): a vectorized max-plus Floyd-Warshall gives the chain
-   gains and a breadth-first search over the arcs on best paths gives
-   the chain. Optimal duals come from the longest paths of the final
-   residual graph plus a slack node.
+1. `_price_start` takes the row-wise argmax of c - phi from given start
+   prices: zero for a cold solve, or the previous A-step's optimal duals
+   when the driver solves a sequence of nearby problems. One vectorized
+   pass re-prices each record that breaks complementary slackness: a
+   record in bounds whose price has the wrong sign for its count drops
+   to price 0 if that keeps it in bounds, and any other gets the price
+   that puts its count on the violated bound (a dual start in the spirit
+   of auction methods for transportation problems; Bertsekas & Castanon,
+   1989). If every count is then within bounds, at its upper bound where
+   phi > 0 and at its lower bound where phi < 0, complementary slackness
+   holds: the map is optimal and the prices (slack potential 0) are
+   optimal duals, and the solver goes straight to step 2. Otherwise
+   `_initial_optimum` repairs the bounds on the condensed residual
+   graph, one node per record, where arc u -> v carries the best gain of
+   moving a single input from u to v. The arc table is an m x m array
+   kept by `_MoveGains`: one gather over sorted blocks builds it, and a
+   move re-reads only the arcs the moved input witnessed. The repair
+   shifts one unit of count at a time along the best chain of moves
+   until the bounds hold and no shift gains (successive shortest paths;
+   Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9): a vectorized
+   max-plus Floyd-Warshall gives the chain gains and a breadth-first
+   search over the arcs on best paths gives the chain. Optimal duals
+   come from the longest paths of the final residual graph plus a slack
+   node. Any start prices lead to the same result, since step 2 accepts
+   any optimal duals; better ones only leave less to repair.
 2. `_lex_refine` rewrites that optimum into the lexicographically
    smallest optimal map, so results do not depend on how the optimum was
    reached. Complementary slackness holds between the duals and every
@@ -37,12 +42,14 @@ against a slack node whose potential absorbs the bound slack.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
 optimality reasoning below is exact integer arithmetic on those costs
-(path gains are integers held exactly in float64).
+(path gains are integers held exactly in float64). Prices handed between
+solves are in score units, so each solve puts them on its own grid.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,28 +150,56 @@ def assignment_objective(s, pi):
     return float(s[np.arange(s.shape[0]), idx].sum())
 
 
-def _integer_costs(s):
-    """Round scores to int64 on the 2^32 / max|s| grid (exactly zero stays zero)."""
-    amax = float(np.abs(s).max())
+def _to_grid(v, amax):
+    """v * 2^32 / amax, dividing by amax first where 2^32 / amax overflows
+    (a subnormal amax)."""
+    factor = _SCALE / amax
+    if math.isfinite(factor):
+        return v * factor
+    return (v / amax) * _SCALE
+
+
+def _integer_costs(s, amax=None):
+    """Round scores to int64 on the 2^32 / max|s| grid (exactly zero stays
+    zero); amax is max|s| where the caller has it already."""
+    if amax is None:
+        amax = float(np.abs(s).max())
     if amax == 0.0:
         return np.zeros(s.shape, dtype=np.int64)
-    return np.rint(s * (_SCALE / amax)).astype(np.int64)
+    return np.rint(_to_grid(s, amax)).astype(np.int64)
 
 
-def solve_assignment(s, records):
+def solve_assignment(s, records, prices=None):
     """Exact bounded assignment maximizing the score sum.
 
     Returns the lexicographically smallest map among all optima, which
     pins down tie behavior independently of how the optimum was reached.
+
+    `prices`, if given, is a float64 array of the m record prices in
+    score units that the solve starts from (all zero without it). It is
+    overwritten with the optimal duals of the returned map minus the
+    slack potential, a start for a nearby problem. The start changes how
+    much is left to repair, never the result.
     """
     s = as_matrix(s, "s")
     n, m = s.shape
     if m != records.m:
         raise InvalidInput(f"score matrix has {m} columns but {records.m} records")
     records.check_feasible(n)
-    c = _integer_costs(s)
+    amax = float(np.abs(s).max())
+    c = _integer_costs(s, amax)
+    phi = np.zeros(m, dtype=np.int64)
+    if prices is not None:
+        start = prices.tolist()
+        if np.shape(prices) != (m,) or not all(map(math.isfinite, start)):
+            raise InvalidInput(f"start prices must be {m} finite numbers, one per record")
+        if amax > 0.0:
+            # +-2^40 on the cost grid; any start is valid, so the clip
+            # bounds only the start's quality
+            lim = 2.0**8 * amax
+            phi[:] = [round(_to_grid(min(max(p, -lim), lim), amax)) for p in start]
     lower, upper = records.lower_bounds.tolist(), records.upper_bounds.tolist()
-    pi, phi = _price_start(c, lower, upper)
+    pi, phi = _price_start(c, lower, upper, phi)
     phi_slack = 0
     counts = np.bincount(pi, minlength=m)
     # complementary slackness: phi with slack potential 0 are optimal duals of pi
@@ -174,7 +209,10 @@ def solve_assignment(s, records):
     )
     if not certified:
         pi, phi, phi_slack = _initial_optimum(c, pi, lower, upper)
-    return _checked_assignment(_lex_refine(c, pi, phi, phi_slack, lower, upper), records)
+    pi = _checked_assignment(_lex_refine(c, pi, phi, phi_slack, lower, upper), records)
+    if prices is not None:
+        np.multiply(phi - phi_slack, amax / _SCALE, out=prices)
+    return pi
 
 
 def _checked_assignment(pi, records):
@@ -267,28 +305,41 @@ class _MoveGains:
                     self.W[v, w], self.witness[v, w] = cw - row[v], i
 
 
-def _price_start(c, lower, upper):
+def _price_start(c, lower, upper, phi):
     """Start map argmax(c - phi) and the record prices phi that produced it.
 
-    The prices start at zero. One pass in index order visits each record
-    j whose count under argmax(c - phi) is outside its bounds and sets
-    phi[j] from the gains g = c[:, j] - max over l != j of (c[:, l] -
-    phi[l]): one above the (upper[j] + 1)-th largest gain when j holds
-    too many inputs, one below the lower[j]-th largest when too few, so
-    j's count lands on that bound (or inside it, where gains tie). Later
-    prices can push an earlier record out again; the bound repair fixes
-    whatever is left.
+    The prices start at the given phi. One pass in index order visits
+    each record j that breaks complementary slackness under argmax(c -
+    phi): its count is outside its bounds, or inside them with phi[j] > 0
+    below the upper bound or phi[j] < 0 above the lower bound. A record
+    of the second kind gets price 0 if its count at price 0 stays within
+    its bounds. Otherwise phi[j] is set from the gains g = c[:, j] - max
+    over l != j of (c[:, l] - phi[l]): one above the (upper[j] + 1)-th
+    largest gain when j holds too many inputs, one below the lower[j]-th
+    largest when too few, so j's count lands on that bound (or inside it,
+    where gains tie). Later prices can push an earlier record out again;
+    the bound repair fixes whatever is left.
     """
     n, m = c.shape
-    phi = np.zeros(m, dtype=np.int64)
-    reduced = c.copy()  # c - phi, one column updated per price set
-    pi = c.argmax(axis=1)
+    phi = np.array(phi, dtype=np.int64)
+    reduced = c - phi  # one column updated per price set
+    pi = reduced.argmax(axis=1)
     counts = np.bincount(pi, minlength=m)
     for j in range(m):
-        if lower[j] <= counts[j] <= upper[j]:
+        inside = lower[j] <= counts[j] <= upper[j]
+        if inside and (phi[j] <= 0 or counts[j] == upper[j]) and (
+                phi[j] >= 0 or counts[j] == lower[j]):
             continue
+        if inside:  # a price of the wrong sign
+            phi[j] = 0
+            reduced[:, j] = c[:, j]
+            pi = reduced.argmax(axis=1)
+            counts = np.bincount(pi, minlength=m)
+            if lower[j] <= counts[j] <= upper[j]:
+                continue
         # m >= 2 here (a single record holds all n inputs, within its
-        # bounds), so the masked column never attains a row maximum
+        # bounds, and price 0 leaves it there), so the masked column
+        # never attains a row maximum
         reduced[:, j] = np.iinfo(np.int64).min
         g = c[:, j] - reduced.max(axis=1)
         if counts[j] > upper[j]:

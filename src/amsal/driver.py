@@ -89,18 +89,21 @@ def _hash_map(pi):
     return hashlib.sha256(pi.map.astype("<i8").tobytes()).hexdigest()[:16]
 
 
-def am_iterate(x, records, pi, cfg):
+def am_iterate(x, records, pi, cfg, prices=None):
     """One M-step then one A-step; returns (new pi, projection, objective).
 
     The objective is scored after the A-step, under the projection that
-    produced the new map.
+    produced the new map. The A-step starts from the record prices
+    `prices` (None for zero) and overwrites them with its optimal duals,
+    the start for the next A-step; the start changes how fast the A-step
+    runs, never the map it returns.
     """
     x = as_matrix(x, "x")
     omega = cross_covariance(x, records.z, pi)
     proj = svd(omega)
     k = _effective_k(cfg, proj)
     s = score_matrix(x, records, proj, k)
-    new_pi = solve_assignment(s, records)
+    new_pi = solve_assignment(s, records, prices)
     return new_pi, proj, assignment_objective(s, new_pi)
 
 
@@ -147,8 +150,11 @@ def run_amsal(x, records, cfg, truth=None):
     stops early once the A-step returns the map unchanged; every iterate
     is scored and the best so far kept (the earliest on ties), and the
     final projection is recomputed from the selected map so it always
-    matches the returned assignment. Per-seed RNG streams are split from
-    cfg.rng_seed, so the result is a pure function of (inputs, cfg).
+    matches the returned assignment. Each A-step of a seed starts from
+    the previous one's optimal prices (the first from zero), which
+    leaves less bound repair and the same maps. Per-seed RNG streams are
+    split from cfg.rng_seed, so the result is a pure function of
+    (inputs, cfg).
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
@@ -165,8 +171,9 @@ def run_amsal(x, records, cfg, truth=None):
     for seed_idx, child in enumerate(np.random.SeedSequence(cfg.rng_seed).spawn(cfg.num_seeds)):
         rng = np.random.default_rng(child)
         pi = random_feasible_assignment(centered, n, rng)
+        prices = np.zeros(centered.m)
         for iteration in range(1, cfg.max_iterations + 1):
-            new_pi, _, objective = am_iterate(x_c, centered, pi, cfg)
+            new_pi, _, objective = am_iterate(x_c, centered, pi, cfg, prices)
             acc = alignment_accuracy(new_pi, truth) if truth is not None else float("nan")
             rows.append(TraceRow(seed_idx, iteration, objective, _hash_map(new_pi), acc))
             key = _candidate_key(objective, new_pi, seed_labels)

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -57,6 +58,12 @@ def test_feasibility_errors_name_the_constraint():
         solve_assignment(np.zeros((2, 2)), _records(2, [2, 2], [3, 3]))
     with pytest.raises(InfeasibleBounds, match="upper"):
         solve_assignment(np.zeros((4, 2)), _records(2, [0, 0], [1, 2]))
+
+
+def test_start_prices_need_one_per_record():
+    for prices in (np.zeros(3), np.zeros((2, 1)), np.array([0.0, np.nan]), np.array([np.inf, 0.0])):
+        with pytest.raises(InvalidInput, match="start prices must be 2 finite numbers"):
+            solve_assignment(np.zeros((2, 2)), _records(2, [0, 0], [2, 2]), prices)
 
 
 def test_forced_identity():
@@ -170,19 +177,33 @@ def _priced_instances(draw):
             upper = lower + rng.integers(0, n // 2 + 1, size=m)
             if lower.sum() <= n <= np.minimum(upper, n).sum():
                 break
-    phi = np.array(draw(st.lists(st.integers(-2**34, 2**34), min_size=m, max_size=m)),
-                   dtype=np.int64)
+    # cost-grid prices; the huge ones lie beyond the +-2^40 start clip
+    price = st.one_of(st.integers(-2**34, 2**34), st.sampled_from([-2**62, -2**41, 2**41, 2**62]))
+    phi = np.array(draw(st.lists(price, min_size=m, max_size=m)), dtype=np.int64)
     return s, _records(m, lower, upper), phi
 
 
 def _solve_from(s, records, phi):
-    """The solver's map with the price start replaced by (argmax(c - phi), phi)."""
+    """The solver's map and returned prices from start prices phi on the
+    cost grid; checks that the returned prices certify the returned map."""
+    amax = float(np.abs(s).max())
+    prices = phi * (amax / 2**32)
+    pi = solve_assignment(s, records, prices)
+    c = amsal.assignment._integer_costs(s)
+    # the prices come back in score units; on the cost grid they are integers
+    duals = np.rint(prices * (2**32 / amax)) if amax else prices
+    _assert_certifies(c, pi.map, duals, 0, records.lower_bounds, records.upper_bounds)
+    return pi.map
 
-    def start(c, lower, upper):
-        return (c - phi).argmax(axis=1), phi
 
-    with mock.patch.object(amsal.assignment, "_price_start", start):
-        return solve_assignment(s, records).map
+def _assert_certifies(c, pi, phi, phi_slack, lower, upper):
+    """Complementary slackness between the map pi and the duals (phi, phi_slack)."""
+    reduced = c - phi
+    np.testing.assert_array_equal(reduced[np.arange(c.shape[0]), pi], reduced.max(axis=1))
+    counts = np.bincount(pi, minlength=lower.size)
+    assert np.all((lower <= counts) & (counts <= upper))
+    assert np.all(counts[phi > phi_slack] == upper[phi > phi_slack])
+    assert np.all(counts[phi < phi_slack] == lower[phi < phi_slack])
 
 
 @settings(max_examples=120, deadline=None)
@@ -203,12 +224,7 @@ def test_repair_duals_certify_its_map(instance):
     start = (c - phi).argmax(axis=1)
     pi, phi, phi_slack = amsal.assignment._initial_optimum(c, start, lower.tolist(),
                                                            upper.tolist())
-    reduced = c - phi
-    np.testing.assert_array_equal(reduced[np.arange(c.shape[0]), pi], reduced.max(axis=1))
-    counts = np.bincount(pi, minlength=records.m)
-    assert np.all((lower <= counts) & (counts <= upper))
-    assert np.all(counts[phi > phi_slack] == upper[phi > phi_slack])
-    assert np.all(counts[phi < phi_slack] == lower[phi < phi_slack])
+    _assert_certifies(c, pi, phi, phi_slack, lower, upper)
 
 
 def _dense_arcs(c, pi):
@@ -333,7 +349,7 @@ def test_two_record_price_start_lands_inside_the_bounds():
     for lower, upper in (([0, 0], [300, 120]), ([0, 250], [300, 300]), ([0, 0], [50, 300]),
                          ([150, 0], [300, 300]), ([100, 0], [300, 150]),
                          ([150, 150], [150, 150])):
-        pi, _ = amsal.assignment._price_start(c, lower, upper)
+        pi, _ = amsal.assignment._price_start(c, lower, upper, np.zeros(2, np.int64))
         counts = np.bincount(pi, minlength=2)
         assert np.all(counts >= lower) and np.all(counts <= upper), (lower, upper, counts)
 
@@ -422,6 +438,20 @@ def test_all_zero_scores_lex_smallest():
     np.testing.assert_array_equal(pi.map, bf.map)
     # lexicographically smallest feasible map: fill record 0 first
     np.testing.assert_array_equal(pi.map, [0, 0, 0, 1])
+
+
+def test_subnormal_scores_keep_their_order():
+    # 2^32 / max|s| overflows for a subnormal max|s|, so the grid divides first
+    s = np.array([[0.0, 5e-324], [0.0, 5e-324]])
+    records = _records(2, [0, 0], [2, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(amsal.assignment._integer_costs(s), [[0, 2**32]] * 2)
+        assert solve_assignment(s, records).map.tolist() == [1, 1]
+        # huge start prices are clipped before they reach the grid
+        prices = np.array([1e300, -1.0])
+        assert solve_assignment(s, records, prices).map.tolist() == [1, 1]
+        assert np.all(np.isfinite(prices))
 
 
 def test_score_matrix_one_dimensional():
