@@ -22,12 +22,13 @@ against a slack node whose potential absorbs the bound slack.
    optimal duals, and the solver goes straight to step 2. Otherwise
    `_initial_optimum` repairs the bounds on the condensed residual
    graph, one node per record, where arc u -> v carries the best gain of
-   moving a single input from u to v. The arc table is an m x m array
-   kept by `_MoveGains`: one gather over sorted blocks builds it, and a
-   move re-reads only the arcs the moved input witnessed. The repair
-   shifts one unit of count at a time along the best chain of moves
-   until the bounds hold and no shift gains (successive shortest paths;
-   Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9): a vectorized
+   moving a single input from u to v. The arc table is a pair of m x m
+   arrays, the best gains and the inputs that attain them: `_arc_table`
+   builds them with one reduction over record blocks, and `_move`
+   re-reads only the arcs the moved input witnessed. The repair shifts
+   one unit of count at a time along the best chain of moves until the
+   bounds hold and no shift gains (successive shortest paths; Ahuja,
+   Magnanti & Orlin, Network Flows, 1993, ch. 9): a vectorized
    max-plus Floyd-Warshall gives the chain gains and a breadth-first
    search over the arcs on best paths gives the chain. Optimal duals
    come from the longest paths of the final residual graph plus a slack
@@ -48,7 +49,6 @@ solves are in score units, so each solve puts them on its own grid.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -190,14 +190,16 @@ def solve_assignment(s, records, prices=None):
     c = _integer_costs(s, amax)
     phi = np.zeros(m, dtype=np.int64)
     if prices is not None:
-        start = prices.tolist()
-        if np.shape(prices) != (m,) or not all(map(math.isfinite, start)):
-            raise InvalidInput(f"start prices must be {m} finite numbers, one per record")
+        if not (isinstance(prices, np.ndarray) and prices.dtype == np.float64
+                and prices.shape == (m,) and prices.flags.writeable
+                and np.all(np.isfinite(prices))):
+            raise InvalidInput(f"start prices must be {m} finite numbers, one per record, "
+                               "in a writeable float64 array")
         if amax > 0.0:
             # +-2^40 on the cost grid; any start is valid, so the clip
             # bounds only the start's quality
             lim = 2.0**8 * amax
-            phi[:] = [round(_to_grid(min(max(p, -lim), lim), amax)) for p in start]
+            phi[:] = [round(_to_grid(min(max(p, -lim), lim), amax)) for p in prices.tolist()]
     lower, upper = records.lower_bounds.tolist(), records.upper_bounds.tolist()
     pi, phi = _price_start(c, lower, upper, phi)
     phi_slack = 0
@@ -228,81 +230,54 @@ def _checked_assignment(pi, records):
     return Assignment(pi)
 
 
-class _MoveGains:
-    """The arc table of the record graph under a map pi, kept current as
-    inputs move.
+def _arc_table(c, pi):
+    """The arc table of the record graph under the map pi.
 
-    W[u, v] is the best gain c[i, v] - c[i, u] over the inputs i now in
-    record u (-inf where u is empty and on the diagonal), and witness[u, v]
-    the input that attains it (-1 where there is none). One stable argsort
-    of the transposed (m, n) key puts row v of `order` in (record,
-    decreasing gain, index) order, so the head of record u's block in row v
-    is the best move out of u into v under the start map, and the first
-    table is one gather over those heads. When input i moves u -> v, only
-    the arcs of u that i witnessed are read again, and row v is raised to
-    i's gains where they are strictly larger. A read of (u, v) walks a
-    cursor down u's block, skipping inputs that have left u, and compares
-    with a max-heap of the inputs that moved into u since; a pair's cursor
-    and heap are created when it is first read or pushed. The record
-    counts of pi are kept alongside.
+    W[u, v] is the best gain c[i, v] - c[i, u] over the inputs i in record
+    u (-inf where u is empty and on the diagonal), and witness[u, v] the
+    smallest input that attains it (-1 where there is none). One stable
+    sort of pi lays the inputs out in record blocks, and a reduction over
+    each block gives both tables.
     """
+    n, m = c.shape
+    order = np.argsort(pi, kind="stable")
+    counts = np.bincount(pi, minlength=m)
+    held = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[held]
+    gains = c[order] - c[order, pi[order], None]
+    top = np.maximum.reduceat(gains, starts)
+    attains = gains == np.repeat(top, counts[held], axis=0)
+    W = np.full((m, m), -np.inf)
+    witness = np.full((m, m), -1, dtype=np.int64)
+    W[held] = top
+    witness[held] = np.minimum.reduceat(np.where(attains, order[:, None], n), starts)
+    np.fill_diagonal(W, -np.inf)
+    np.fill_diagonal(witness, -1)
+    return W, witness
 
-    def __init__(self, c, pi):
-        self.c = c
-        self.pi = pi
-        n, m = c.shape
-        counts = np.bincount(pi, minlength=m)
-        self.counts = counts.tolist()
-        gains = c.T - c[np.arange(n), pi]
-        # costs lie within +-2^32, so |gain| <= 2^33 and the record term
-        # pi * 2^35 outweighs any gain
-        self.order = np.argsort(pi * 2**35 - gains, axis=1, kind="stable")
-        self.gains = np.take_along_axis(gains, self.order, 1)
-        end = np.cumsum(counts)
-        self.start, self.end = (end - counts).tolist(), end.tolist()
-        self.cursor = {}
-        self.heaps = {}
-        head = np.minimum(self.start, n - 1)  # an empty last block starts at n
-        self.W = self.gains[:, head].T.astype(np.float64)
-        self.witness = self.order[:, head].T.copy()
-        none = (counts == 0)[:, None] | np.eye(m, dtype=bool)
-        self.W[none] = -np.inf
-        self.witness[none] = -1
 
-    def best(self, u, v):
-        """(gain, input) of the best move out of u into v, or (-inf, -1) if
-        u is empty."""
-        pi = self.pi
-        rows = self.order[v]
-        pos, end = self.cursor.get((u, v), self.start[u]), self.end[u]
-        while pos < end and pi[rows[pos]] != u:
-            pos += 1
-        self.cursor[u, v] = pos
-        heap = self.heaps.get((u, v))
-        while heap and pi[heap[0][1]] != u:
-            heapq.heappop(heap)
-        if pos < end and (not heap or self.gains[v, pos] >= -heap[0][0]):
-            return int(self.gains[v, pos]), int(rows[pos])
-        if heap:
-            return -heap[0][0], heap[0][1]
-        return -np.inf, -1
-
-    def move(self, i, v):
-        """Reassign input i to record v and update the arc table."""
-        u = int(self.pi[i])
-        self.counts[u] -= 1
-        self.counts[v] += 1
-        self.pi[i] = v
-        for w, k in enumerate(self.witness[u].tolist()):
-            if k == i:
-                self.W[u, w], self.witness[u, w] = self.best(u, w)
-        row = self.c[i].tolist()
-        current = self.W[v].tolist()
-        for w, cw in enumerate(row):
-            if w != v:
-                heapq.heappush(self.heaps.setdefault((v, w), []), (row[v] - cw, i))
-                if cw - row[v] > current[w]:
-                    self.W[v, w], self.witness[v, w] = cw - row[v], i
+def _move(c, pi, W, witness, i, v):
+    """Reassign input i to record v and update its arc table W, witness:
+    only the arcs out of i's old record that i witnessed are read again,
+    and row v is raised to i's gains where they are strictly larger."""
+    u = pi[i]
+    pi[i] = v
+    stale = np.flatnonzero(witness[u] == i)
+    if stale.size:
+        members = np.flatnonzero(pi == u)
+        if members.size:
+            g = c[members[:, None], stale] - c[members, u, None]
+            best = g.argmax(axis=0)  # the first maximum: ties go to the smallest input
+            W[u, stale] = g[best, np.arange(stale.size)]
+            witness[u, stale] = members[best]
+        else:
+            W[u, stale] = -np.inf
+            witness[u, stale] = -1
+    g = c[i] - c[i, v]
+    up = g > W[v]
+    up[v] = False
+    W[v, up] = g[up]
+    witness[v, up] = i
 
 
 def _price_start(c, lower, upper, phi):
@@ -357,11 +332,12 @@ def _price_start(c, lower, upper, phi):
 def _initial_optimum(c, start, lower, upper):
     """One optimal map from the start map, with optimal dual potentials.
 
-    Bound repair on the record graph, whose arc table `_MoveGains` keeps
-    as arrays: each step shifts one unit of count from record a to record
-    b along a best a -> b chain of single-input moves. It picks the
-    transfer that most reduces the total bound violation and, among
-    those, the one with the largest gain; it stops when no transfer
+    Bound repair on the record graph, whose arc table (W, witness) from
+    `_arc_table` is kept current by `_move`: each step shifts one unit of
+    count from record a to record b along a best a -> b chain of
+    single-input moves, which changes the counts of a and b only. It
+    picks the transfer that most reduces the total bound violation and,
+    among those, the one with the largest gain; it stops when no transfer
     lowers the violation and none keeps it level with a positive gain.
     This is cycle cancelling with convex penalties, so the result is
     optimal. The start, an argmax of c - phi, has a record graph free of
@@ -377,10 +353,11 @@ def _initial_optimum(c, start, lower, upper):
     all-pairs best paths.
     """
     m = c.shape[1]
-    gains = _MoveGains(c, start)
-    counts = gains.counts
+    pi = start.copy()
+    W, witness = _arc_table(c, pi)
+    counts = np.bincount(pi, minlength=m).tolist()
     while True:
-        D = _best_paths(gains.W)
+        D = _best_paths(W)
         # a transfer a -> b changes the total violation by out[a] + into[b]
         out = [(k <= lo) - (k > up) for k, lo, up in zip(counts, lower, upper)]
         into = [(k >= up) - (k < lo) for k, lo, up in zip(counts, lower, upper)]
@@ -391,12 +368,14 @@ def _initial_optimum(c, start, lower, upper):
         a, b = divmod(int(gain.argmax()), m)
         if least > 0 or (least == 0 and gain[a, b] <= 0):
             break
-        path = _tight_path(gains.W, D, a, b)
+        path = _tight_path(W, D, a, b)
         # read every arc's witness before any input moves, so each arc
         # moves the input its gain was read from
-        movers = [(int(gains.witness[u, v]), v) for u, v in zip(path, path[1:])]
+        movers = [(witness[u, v], v) for u, v in zip(path, path[1:])]
         for i, v in movers:
-            gains.move(i, v)
+            _move(c, pi, W, witness, i, v)
+        counts[a] -= 1
+        counts[b] += 1
     # Longest paths from a virtual root with a zero arc to every node of the
     # residual graph, whose slack node has arcs u -> slack where counts[u] <
     # upper[u] and slack -> u where counts[u] > lower[u]; with no positive
@@ -406,7 +385,7 @@ def _initial_optimum(c, start, lower, upper):
     reach = D.max(axis=0)
     phi_slack = reach[counts < upper].max(initial=0.0)
     phi = np.maximum(reach, phi_slack + D[counts > lower].max(axis=0, initial=-np.inf))
-    return gains.pi, phi.astype(np.int64), int(phi_slack)
+    return pi, phi.astype(np.int64), int(phi_slack)
 
 
 def _best_paths(W):

@@ -20,7 +20,12 @@ RANK_RTOL = 1e-10
 
 def as_matrix(a, name="matrix"):
     """Validate and return *a* as a finite 2-d float64 array."""
-    out = np.asarray(a, dtype=np.float64)
+    if isinstance(a, np.ndarray) and np.iscomplexobj(a):
+        raise InvalidInput(f"{name} must be real, got complex entries")
+    try:
+        out = np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} must be a numeric matrix: {exc}") from None
     if out.ndim != 2:
         raise InvalidInput(f"{name} must be 2-d, got shape {out.shape}")
     if out.shape[0] < 1 or out.shape[1] < 1:

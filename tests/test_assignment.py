@@ -61,7 +61,10 @@ def test_feasibility_errors_name_the_constraint():
 
 
 def test_start_prices_need_one_per_record():
-    for prices in (np.zeros(3), np.zeros((2, 1)), np.array([0.0, np.nan]), np.array([np.inf, 0.0])):
+    frozen = np.zeros(2)
+    frozen.setflags(write=False)
+    for prices in (np.zeros(3), np.zeros((2, 1)), np.array([0.0, np.nan]), np.array([np.inf, 0.0]),
+                   np.zeros(2, dtype=np.int64), [0.0, 0.0], np.zeros(2, dtype=np.float32), frozen):
         with pytest.raises(InvalidInput, match="start prices must be 2 finite numbers"):
             solve_assignment(np.zeros((2, 2)), _records(2, [0, 0], [2, 2]), prices)
 
@@ -247,22 +250,21 @@ def test_move_gains_arc_table_matches_dense_maximum():
         pi = rng.integers(0, m, size=n)
         if trial % 2:
             pi[pi == m - 1] = 0  # an empty last record
-        gains = amsal.assignment._MoveGains(c, pi.copy())
-        np.testing.assert_array_equal(gains.W, _dense_arcs(c, pi))
-        for u, v in zip(*np.nonzero(np.isfinite(gains.W))):
+        W, witness = amsal.assignment._arc_table(c, pi)
+        np.testing.assert_array_equal(W, _dense_arcs(c, pi))
+        for u, v in zip(*np.nonzero(np.isfinite(W))):
             members = np.flatnonzero(pi == u)
-            tied = members[c[members, v] - c[members, u] == gains.W[u, v]]
-            assert gains.witness[u, v] == tied[0]  # ties go to the smallest index
+            tied = members[c[members, v] - c[members, u] == W[u, v]]
+            assert witness[u, v] == tied[0]  # ties go to the smallest index
         for _ in range(2 * n):
             i, v = int(rng.integers(n)), int(rng.integers(m))
-            if gains.pi[i] != v:
-                gains.move(i, v)
-            np.testing.assert_array_equal(gains.W, _dense_arcs(c, gains.pi))
-            for u, v in zip(*np.nonzero(np.isfinite(gains.W))):
-                k = gains.witness[u, v]
-                assert gains.pi[k] == u and c[k, v] - c[k, u] == gains.W[u, v]
-            assert np.all(gains.witness[~np.isfinite(gains.W)] == -1)
-        np.testing.assert_array_equal(gains.counts, np.bincount(gains.pi, minlength=m))
+            if pi[i] != v:
+                amsal.assignment._move(c, pi, W, witness, i, v)
+            np.testing.assert_array_equal(W, _dense_arcs(c, pi))
+            for u, v in zip(*np.nonzero(np.isfinite(W))):
+                k = witness[u, v]
+                assert pi[k] == u and c[k, v] - c[k, u] == W[u, v]
+            assert np.all(witness[~np.isfinite(W)] == -1)
 
 
 def test_best_paths_and_tight_paths_match_the_list_floyd_warshall():
@@ -331,10 +333,10 @@ def test_certified_start_skips_the_repair_and_path_searches():
     s[:, 1] += 0.2  # argmax puts ~56% in record 1, above its upper bound
     records = _records(2, *bounds_from_priors([0.5, 0.5], n, 0.05))
     paths = mock.Mock(wraps=amsal.assignment._best_paths)
-    gains = mock.Mock(wraps=amsal.assignment._MoveGains)
-    with mock.patch.multiple(amsal.assignment, _best_paths=paths, _MoveGains=gains):
+    repair = mock.Mock(wraps=amsal.assignment._initial_optimum)
+    with mock.patch.multiple(amsal.assignment, _best_paths=paths, _initial_optimum=repair):
         pi = solve_assignment(s, records)
-    assert paths.call_count == 0 and gains.call_count == 0
+    assert paths.call_count == 0 and repair.call_count == 0
     c = amsal.assignment._integer_costs(s)
     expected = _m2_oracle(c, records.lower_bounds, records.upper_bounds)
     np.testing.assert_array_equal(pi.map, expected)

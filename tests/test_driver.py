@@ -278,18 +278,18 @@ def test_warm_started_a_steps_repair_less_and_change_nothing():
 
     def counted(solve):
         paths = mock.Mock(wraps=amsal.assignment._best_paths)
-        gains = mock.Mock(wraps=amsal.assignment._MoveGains)
-        with mock.patch.multiple(amsal.assignment, _best_paths=paths, _MoveGains=gains), \
+        repairs = mock.Mock(wraps=amsal.assignment._initial_optimum)
+        with mock.patch.multiple(amsal.assignment, _best_paths=paths, _initial_optimum=repairs), \
                 mock.patch("amsal.driver.solve_assignment", solve):
             result = run_amsal(data.x, records, AmsalConfig(rng_seed=0), truth=truth)
-        return result, paths.call_count, gains.call_count
+        return result, paths.call_count, repairs.call_count
 
-    warm, warm_paths, warm_gains = counted(solve_assignment)
+    warm, warm_paths, warm_repairs = counted(solve_assignment)
     # every A-step starts from zero prices, as a lone solve_assignment does
-    cold, cold_paths, cold_gains = counted(lambda s, records, prices: solve_assignment(s, records))
+    cold, cold_paths, cold_repairs = counted(lambda s, records, prices: solve_assignment(s, records))
     # measured: 191 best-path tables over 38 repairs, against 517 over 51 cold
-    assert warm_paths <= 191 and warm_gains <= 38
-    assert cold_paths > warm_paths and cold_gains > warm_gains
+    assert warm_paths <= 191 and warm_repairs <= 38
+    assert cold_paths > warm_paths and cold_repairs > warm_repairs
     assert warm.trace.rows == cold.trace.rows
     np.testing.assert_array_equal(warm.assignment.map, cold.assignment.map)
 

@@ -78,6 +78,17 @@ def test_svd_rejects_nonfinite():
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("a", [
+    [["1", "x"], ["0", "1"]],
+    [[1.0, 2.0], [3.0]],
+    [[1.0, 2j], [0.0, 1.0]],
+    np.array([[1.0, 2j], [0.0, 1.0]]),
+], ids=["strings", "ragged", "complex", "complex-array"])
+def test_svd_rejects_non_numeric_input_naming_it(a):
+    with pytest.raises(InvalidInput, match="^a must"):
+        svd(a)
+
+
 def test_weyl_perturbation_bound():
     rng = np.random.default_rng(3)
     for _ in range(200):
