@@ -32,14 +32,16 @@ against a slack node whose potential absorbs the bound slack.
    max-plus Floyd-Warshall gives the chain gains and a breadth-first
    search over the arcs on best paths gives the chain. Optimal duals
    come from the longest paths of the final residual graph plus a slack
-   node. Any start prices lead to the same result, since step 2 accepts
-   any optimal duals; better ones only leave less to repair.
+   node, and are handed on measured from it. Any start prices lead to the
+   same result, since step 2 accepts any optimal duals; better ones only
+   leave less to repair.
 2. `_lex_refine` rewrites that optimum into the lexicographically
    smallest optimal map, so results do not depend on how the optimum was
    reached. Complementary slackness holds between the duals and every
    optimal map, so the duals decide each tie: an input moves to a smaller
    record only along tight edges, found by a reachability search on one
-   tight graph of at most m + 1 nodes.
+   tight graph of at most m + 1 nodes, whose record arcs come from one
+   m x m table of the largest input in record u tight at record v.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
 optimality reasoning below is exact integer arithmetic on those costs
@@ -177,8 +179,8 @@ def solve_assignment(s, records, prices=None):
 
     `prices`, if given, is a float64 array of the m record prices in
     score units that the solve starts from (all zero without it). It is
-    overwritten with the optimal duals of the returned map minus the
-    slack potential, a start for a nearby problem. The start changes how
+    overwritten with the optimal duals of the returned map, measured from
+    the slack node, a start for a nearby problem. The start changes how
     much is left to repair, never the result.
     """
     s = as_matrix(s, "s")
@@ -202,18 +204,18 @@ def solve_assignment(s, records, prices=None):
             phi[:] = [round(_to_grid(min(max(p, -lim), lim), amax)) for p in prices.tolist()]
     lower, upper = records.lower_bounds.tolist(), records.upper_bounds.tolist()
     pi, phi = _price_start(c, lower, upper, phi)
-    phi_slack = 0
     counts = np.bincount(pi, minlength=m)
-    # complementary slackness: phi with slack potential 0 are optimal duals of pi
+    # complementary slackness: phi are optimal duals of pi
     certified = np.all(
         (counts >= lower) & (counts <= upper)
         & ((phi <= 0) | (counts == upper)) & ((phi >= 0) | (counts == lower))
     )
     if not certified:
-        pi, phi, phi_slack = _initial_optimum(c, pi, lower, upper)
-    pi = _checked_assignment(_lex_refine(c, pi, phi, phi_slack, lower, upper), records)
+        pi, phi = _initial_optimum(c, pi, lower, upper)
+    pi = _lex_refine(c, pi, phi, records.lower_bounds, records.upper_bounds)
+    pi = _checked_assignment(pi, records)
     if prices is not None:
-        np.multiply(phi - phi_slack, amax / _SCALE, out=prices)
+        np.multiply(phi, amax / _SCALE, out=prices)
     return pi
 
 
@@ -347,9 +349,9 @@ def _initial_optimum(c, start, lower, upper):
     D[v, b] == D[u, b]: their gains telescope to D[a, b], and the search
     returns a simple path even where zero-gain cycles tie with it.
 
-    Returns (pi, phi, phi_slack): the optimum and optimal duals, the
-    longest-path potentials of its residual graph's record nodes and of a
-    slack node that absorbs the bound slack, read off the final step's
+    Returns (pi, phi): the optimum and optimal duals, the longest-path
+    potentials of its residual graph's record nodes measured from that of
+    a slack node that absorbs the bound slack, read off the final step's
     all-pairs best paths.
     """
     m = c.shape[1]
@@ -385,7 +387,7 @@ def _initial_optimum(c, start, lower, upper):
     reach = D.max(axis=0)
     phi_slack = reach[counts < upper].max(initial=0.0)
     phi = np.maximum(reach, phi_slack + D[counts > lower].max(axis=0, initial=-np.inf))
-    return pi, phi.astype(np.int64), int(phi_slack)
+    return pi, (phi - phi_slack).astype(np.int64)
 
 
 def _best_paths(W):
@@ -408,48 +410,58 @@ def _best_paths(W):
     return D
 
 
+def _search(arcs, start):
+    """Breadth-first search from start over the boolean rows arcs[u][v]
+    (an arc u -> v): node -> the node it was reached from."""
+    came = {start: start}
+    queue = [start]
+    for u in queue:
+        for v, on in enumerate(arcs[u]):
+            if on and v not in came:
+                came[v] = u
+                queue.append(v)
+    return came
+
+
+def _walk(came, node):
+    """The search's path from node back to its start."""
+    path = [node]
+    while came[path[-1]] != path[-1]:
+        path.append(came[path[-1]])
+    return path
+
+
 def _tight_path(W, D, a, b):
     """Node sequence of a best a -> b path: a breadth-first search over the
     arcs that lie on some best path to b."""
     if W[a, b] == D[a, b]:
         return [a, b]  # what the search finds first when the direct arc is best
-    tight = (W + D[:, b] == D[:, b, None]).tolist()
-    toward = {a: a}  # node -> previous node on the search tree
-    queue = [a]
-    for u in queue:
-        for v, on in enumerate(tight[u]):
-            if on and v not in toward:
-                toward[v] = u
-                queue.append(v)
-        if b in toward:
-            break
-    path = [b]
-    while path[-1] != a:
-        path.append(toward[path[-1]])
-    return path[::-1]
+    return _walk(_search((W + D[:, b] == D[:, b, None]).tolist(), a), b)[::-1]
 
 
-def _lex_refine(c, pi, phi, phi_slack, lower, upper):
+def _lex_refine(c, pi, phi, lower, upper):
     """Rewrite the optimal map pi into the lexicographically smallest
-    optimal map, given optimal duals: record prices phi and the slack
-    node's potential phi_slack.
+    optimal map, given optimal duals phi measured from the slack node.
 
     By complementary slackness the optimal maps are exactly the maps
     that use only tight edges (c[i, j] - phi[j] maximal over j) and keep
-    each count at its upper bound where phi[j] > phi_slack and at its
-    lower bound where phi[j] < phi_slack. Inputs are fixed in index
-    order. Input i in record a may move to a smaller record b exactly
-    when i is tight at b and b reaches a in the tight graph of the
-    inputs after i, whose arcs are:
+    each count at its upper bound where phi[j] > 0 and at its lower bound
+    where phi[j] < 0. Inputs are fixed in index order. Input i in record
+    a may move to a smaller record b exactly when i is tight at b and b
+    reaches a in the tight graph of the inputs after i, whose arcs are:
 
     - u -> v when some input after i in u is tight at v (moving it);
-    - u -> slack when count[u] < upper[u] and phi[u] == phi_slack;
-    - slack -> v when count[v] > lower[v] and phi[v] == phi_slack.
+    - u -> slack when count[u] < upper[u] and phi[u] == 0;
+    - slack -> v when count[v] > lower[v] and phi[v] == 0.
 
     The smallest such b wins, and the inputs on a path from b to a move
     one arc each. An input already in its smallest tight record cannot
     move, and an input tight at one record only is never moved or used,
-    so the search covers the inputs tight at two or more records.
+    so the search covers the inputs tight at two or more records. Their
+    arcs live in one m x m table: last[u, v] is the largest of them in u
+    tight at v (-1 for none; an entry up to i may be out of date, as those
+    inputs are spent), and u -> v is an arc of input i's search exactly
+    when last[u, v] > i.
     """
     m = c.shape[1]
     reduced = c - phi
@@ -458,59 +470,37 @@ def _lex_refine(c, pi, phi, phi_slack, lower, upper):
     first_tight = tight.argmax(axis=1)
     if not np.any(pi[multi] != first_tight[multi]):
         return pi
-    counts = np.bincount(pi, minlength=m).tolist()
-    slack_ok = (phi == phi_slack).tolist()
-    # witnesses[u][v]: inputs that were in u when listed, tight at v; the
-    # ones that left u or are fixed are dropped lazily
-    witnesses = [[[] for _ in range(m)] for _ in range(m)]
     rows, cols = np.nonzero(tight[multi])
     rows = multi[rows]
-    for k, u, v in zip(rows.tolist(), pi[rows].tolist(), cols.tolist()):
-        if v != u:
-            witnesses[u][v].append(k)
-
-    def witness(u, v, i):
-        stack = witnesses[u][v]
-        while stack and (stack[-1] <= i or pi[stack[-1]] != u):
-            stack.pop()
-        return stack[-1] if stack else -1
-
-    def arc(u, v, i):
-        if u == m:
-            return slack_ok[v] and counts[v] > lower[v]
-        if v == m:
-            return slack_ok[u] and counts[u] < upper[u]
-        return witness(u, v, i) >= 0
-
-    def move(k, v):
-        counts[pi[k]] -= 1
-        counts[v] += 1
-        pi[k] = v
-        for w in np.flatnonzero(tight[k]).tolist():
-            if w != v:
-                witnesses[v][w].append(k)
-
+    last = np.full((m, m), -1, dtype=np.int64)
+    np.maximum.at(last, (pi[rows], cols), rows)
+    counts = np.bincount(pi, minlength=m)
+    at_slack = phi == 0
+    arcs = np.zeros((m + 1, m + 1), dtype=bool)  # arcs[u, v]: u -> v; node m is the slack
     for i in multi.tolist():
         a = int(pi[i])
         if a == first_tight[i]:
             continue
-        toward = {a: a}  # node -> next node on a path to a
-        queue = [a]
-        for v in queue:
-            for u in range(m + 1):
-                if u not in toward and arc(u, v, i):
-                    toward[u] = v
-                    queue.append(u)
-        b = next((b for b in range(a) if tight[i, b] and b in toward), None)
+        np.greater(last, i, out=arcs[:m, :m])
+        arcs[:m, m] = at_slack & (counts < upper)
+        arcs[m, :m] = at_slack & (counts > lower)
+        came = _search(arcs.T.tolist(), a)  # node -> the next node on a path to a
+        b = next((b for b in range(a) if tight[i, b] and b in came), None)
         if b is None:
             continue
-        path = [b]
-        while path[-1] != a:
-            path.append(toward[path[-1]])
-        movers = [(witness(u, v, i), v) for u, v in zip(path, path[1:]) if u < m and v < m]
-        for k, v in movers:
-            move(k, v)
-        move(i, b)
+        path = _walk(came, b)
+        # read every arc's input before any moves: a move raises the next arc's row
+        movers = [(int(last[u, v]), v) for u, v in zip(path, path[1:]) if u < m and v < m]
+        for k, v in movers + [(i, b)]:
+            u = pi[k]
+            pi[k] = v
+            counts[u] -= 1
+            counts[v] += 1
+            # row u: rescan where k was the largest, among the inputs after i; row v: raise
+            stale = np.flatnonzero(last[u] == k)
+            later = np.arange(i + 1, k)[pi[i + 1:k] == u, None]
+            last[u, stale] = np.where(tight[later, stale], later, -1).max(axis=0, initial=-1)
+            np.maximum(last[v], np.where(tight[k], k, -1), out=last[v])
     return pi
 
 

@@ -42,7 +42,7 @@ def _cmd_synth(args):
     ext = args.format
     aio.save_matrix(data.x, out / f"x.{ext}", fmt=ext)
     aio.save_matrix(data.z, out / f"z_samples.{ext}", fmt=ext)
-    records, truth = as_records(data, slack=args.slack)
+    records, truth = as_records(data)
     aio.save_matrix(records.z, out / f"z_records.{ext}", fmt=ext)
     aio.save_assignment(truth, out / "truth.csv")
     aio.save_labels(data.states, out / "states.csv")
@@ -140,7 +140,6 @@ def build_parser():
     p.add_argument("--x-noise", type=float, default=1.0)
     p.add_argument("--z-noise", type=float, default=0.0)
     p.add_argument("--clip", type=float, default=None)
-    p.add_argument("--slack", type=float, default=PRIOR_SLACK)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
     p.set_defaults(func=_cmd_synth)

@@ -462,6 +462,9 @@ class PipelineConfig:
             raise InvalidInput("y_kind must be classification, regression or none")
         if self.y_kind != "none" and not self.y:
             raise InvalidInput(f"y_kind={self.y_kind} requires a y file")
+        if self.y_kind == "none" and self.y:
+            raise InvalidInput(f"y = {self.y} is given but y_kind = none would ignore it; "
+                               "set y_kind to classification or regression")
         for key in ("x", "records", "seed_labels", "y", "truth"):
             path = getattr(self, key)
             if path and not Path(path).exists():

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from unittest import mock
 
@@ -127,6 +128,28 @@ def test_matches_brute_force_property(instance):
     np.testing.assert_array_equal(a.map, b.map)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_tiny_tied_instances())
+def test_lex_refine_maps_every_optimum_to_the_brute_force_map(instance):
+    # the refine accepts any optimal map and any optimal duals: here the
+    # duals of the first and of the last optimum in lexicographic order
+    s, records = instance
+    n, m = s.shape
+    lower, upper = records.lower_bounds, records.upper_bounds
+    c = amsal.assignment._integer_costs(s)
+    maps = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int64)
+    counts = np.stack([np.bincount(pi, minlength=m) for pi in maps])
+    value = np.where(np.all((counts >= lower) & (counts <= upper), axis=1),
+                     c[np.arange(n), maps].sum(axis=1), np.iinfo(np.int64).min)
+    optima = maps[value == value.max()]
+    expected = brute_force_assignment(s, records).map
+    for start in (optima[0], optima[-1]):
+        _, phi = amsal.assignment._initial_optimum(c, start, lower.tolist(), upper.tolist())
+        for pi in optima:
+            refined = amsal.assignment._lex_refine(c, pi.copy(), phi, lower, upper)
+            np.testing.assert_array_equal(refined, expected)
+
+
 def _corpus(rng):
     """Instances with n < 61 and m < 9 over every score and bound regime."""
     kinds = ("continuous", "rounded", "zero", "row-constant")
@@ -195,18 +218,19 @@ def _solve_from(s, records, phi):
     c = amsal.assignment._integer_costs(s)
     # the prices come back in score units; on the cost grid they are integers
     duals = np.rint(prices * (2**32 / amax)) if amax else prices
-    _assert_certifies(c, pi.map, duals, 0, records.lower_bounds, records.upper_bounds)
+    _assert_certifies(c, pi.map, duals, records.lower_bounds, records.upper_bounds)
     return pi.map
 
 
-def _assert_certifies(c, pi, phi, phi_slack, lower, upper):
-    """Complementary slackness between the map pi and the duals (phi, phi_slack)."""
+def _assert_certifies(c, pi, phi, lower, upper):
+    """Complementary slackness between the map pi and the duals phi, which
+    are measured from the slack node."""
     reduced = c - phi
     np.testing.assert_array_equal(reduced[np.arange(c.shape[0]), pi], reduced.max(axis=1))
     counts = np.bincount(pi, minlength=lower.size)
     assert np.all((lower <= counts) & (counts <= upper))
-    assert np.all(counts[phi > phi_slack] == upper[phi > phi_slack])
-    assert np.all(counts[phi < phi_slack] == lower[phi < phi_slack])
+    assert np.all(counts[phi > 0] == upper[phi > 0])
+    assert np.all(counts[phi < 0] == lower[phi < 0])
 
 
 @settings(max_examples=120, deadline=None)
@@ -225,9 +249,8 @@ def test_repair_duals_certify_its_map(instance):
     c = amsal.assignment._integer_costs(s)
     lower, upper = records.lower_bounds, records.upper_bounds
     start = (c - phi).argmax(axis=1)
-    pi, phi, phi_slack = amsal.assignment._initial_optimum(c, start, lower.tolist(),
-                                                           upper.tolist())
-    _assert_certifies(c, pi, phi, phi_slack, lower, upper)
+    pi, phi = amsal.assignment._initial_optimum(c, start, lower.tolist(), upper.tolist())
+    _assert_certifies(c, pi, phi, lower, upper)
 
 
 def _dense_arcs(c, pi):
@@ -403,7 +426,7 @@ def test_two_records_beyond_former_size_cap():
 
 
 def test_out_of_bounds_solver_output_raises(monkeypatch):
-    def refine(c, pi, phi, phi_slack, lower, upper):
+    def refine(c, pi, phi, lower, upper):
         return 0 * pi
 
     monkeypatch.setattr(amsal.assignment, "_lex_refine", refine)

@@ -32,6 +32,16 @@ def test_synth_writes_expected_files(tmp_path):
     assert (out / "priors.csv").read_text() == ",".join(repr(float(c) / 120) for c in counts) + "\n"
 
 
+def test_synth_refuses_slack_flag(tmp_path, capsys):
+    # synth saves no count bounds, so it takes no slack for them
+    with pytest.raises(SystemExit) as exit_:
+        main(["synth", "--out", str(tmp_path / "data"), "--n", "20", "--slack", "0.3"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --slack 0.3" in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_align_and_erase_cli(tmp_path, capsys):
     out = _synth(tmp_path, n=150, seed=1)
     align_dir = tmp_path / "align"

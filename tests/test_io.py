@@ -385,7 +385,8 @@ def test_pipeline_config_validation(tmp_path):
     for change, match in (({"seed_labels": "seed.csv"}, "seed_labels file not found"),
                           ({"removal": "lasso"}, "removal must be"),
                           ({"y_kind": "ranking"}, "y_kind must be"),
-                          ({"y_kind": "regression"}, "requires a y file")):
+                          ({"y_kind": "regression"}, "requires a y file"),
+                          ({"y": "y.csv"}, "y = y.csv is given but y_kind = none")):
         cfg = PipelineConfig.from_values({**values, **change})
         with pytest.raises(InvalidInput, match=match):
             cfg.validate()
