@@ -20,21 +20,17 @@ against a slack node whose potential absorbs the bound slack.
    phi > 0 and at its lower bound where phi < 0, complementary slackness
    holds: the map is optimal and the prices (slack potential 0) are
    optimal duals, and the solver goes straight to step 2. Otherwise
-   `_initial_optimum` repairs the bounds on the condensed residual
-   graph, one node per record, where arc u -> v carries the best gain of
-   moving a single input from u to v. The arc table is a pair of m x m
-   arrays, the best gains and the inputs that attain them: `_arc_table`
-   builds them with one reduction over record blocks, and `_move`
-   re-reads only the arcs the moved input witnessed. The repair shifts
-   one unit of count at a time along the best chain of moves until the
-   bounds hold and no shift gains (successive shortest paths; Ahuja,
-   Magnanti & Orlin, Network Flows, 1993, ch. 9): a vectorized
-   max-plus Floyd-Warshall gives the chain gains and a breadth-first
-   search over the arcs on best paths gives the chain. Optimal duals
-   come from the longest paths of the final residual graph plus a slack
-   node, and are handed on measured from it. Any start prices lead to the
-   same result, since step 2 accepts any optimal duals; better ones only
-   leave less to repair.
+   `_initial_optimum` repairs the bounds by successive shortest paths
+   (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9) on the
+   condensed residual graph: one node per record, where arc u -> v
+   carries the best gain of moving a single input from u to v (two m x m
+   arrays, built by `_arc_table` and kept current by `_move`), plus a
+   slack node for the bound slack. The prices are its node potentials,
+   so each path comes from one dense Dijkstra (Edmonds & Karp, 1972)
+   that also updates them, and once the bounds hold they are optimal
+   duals, handed on measured from the slack node. Any start prices lead
+   to the same result, since step 2 accepts any optimal duals; better
+   ones only leave less to repair.
 2. `_lex_refine` rewrites that optimum into the lexicographically
    smallest optimal map, so results do not depend on how the optimum was
    reached. Complementary slackness holds between the duals and every
@@ -44,9 +40,9 @@ against a slack node whose potential absorbs the bound slack.
    m x m table of the largest input in record u tight at record v.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
-optimality reasoning below is exact integer arithmetic on those costs
-(path gains are integers held exactly in float64). Prices handed between
-solves are in score units, so each solve puts them on its own grid.
+optimality reasoning below is exact integer arithmetic on those costs,
+prices and path lengths. Prices handed between solves are in score
+units, so each solve puts them on its own grid.
 """
 
 from __future__ import annotations
@@ -211,7 +207,7 @@ def solve_assignment(s, records, prices=None):
         & ((phi <= 0) | (counts == upper)) & ((phi >= 0) | (counts == lower))
     )
     if not certified:
-        pi, phi = _initial_optimum(c, pi, lower, upper)
+        pi, phi = _initial_optimum(c, pi, phi, records.lower_bounds, records.upper_bounds)
     pi = _lex_refine(c, pi, phi, records.lower_bounds, records.upper_bounds)
     pi = _checked_assignment(pi, records)
     if prices is not None:
@@ -331,83 +327,88 @@ def _price_start(c, lower, upper, phi):
     return pi, phi
 
 
-def _initial_optimum(c, start, lower, upper):
-    """One optimal map from the start map, with optimal dual potentials.
+def _initial_optimum(c, pi, phi, lower, upper):
+    """One optimal map from the start pi = argmax(c - phi), and its
+    optimal duals measured from the slack node.
 
-    Bound repair on the record graph, whose arc table (W, witness) from
-    `_arc_table` is kept current by `_move`: each step shifts one unit of
-    count from record a to record b along a best a -> b chain of
-    single-input moves, which changes the counts of a and b only. It
-    picks the transfer that most reduces the total bound violation and,
-    among those, the one with the largest gain; it stops when no transfer
-    lowers the violation and none keeps it level with a positive gain.
-    This is cycle cancelling with convex penalties, so the result is
-    optimal. The start, an argmax of c - phi, has a record graph free of
-    positive cycles, and augmenting along best paths keeps it so, which
-    makes the path gains well defined at every step. The chain is found
-    by a breadth-first search from a over the arcs u -> v with W[u, v] +
-    D[v, b] == D[u, b]: their gains telescope to D[a, b], and the search
-    returns a simple path even where zero-gain cycles tie with it.
+    Successive shortest paths on the m records plus a slack node m, which
+    takes f[u] units of count from record u and hands the n inputs on:
+    f[u] starts at upper[u] where phi[u] > 0, at lower[u] where phi[u] <
+    0, else at u's count clipped to its bounds. The excess is count - f at
+    a record and f.sum() - n at the slack node. Arc u -> v moves input
+    witness[u, v] at gain W[u, v]; u -> m raises f[u] below upper[u] and
+    m -> u lowers it above lower[u], at gain 0. Under potentials p (phi,
+    then 0) no arc length p[v] - p[u] - gain is negative, as every input
+    sits in an argmax of c - p[:m] and f on the bound that the sign of
+    p[u] - p[m] calls for. Each step runs one Dijkstra from all excess to
+    the first deficit node it settles, t, lowers the settled potentials
+    by their distance minus t's, which keeps every length non-negative
+    and zeroes those on the path, and shifts count along the path.
 
-    Returns (pi, phi): the optimum and optimal duals, the longest-path
-    potentials of its residual graph's record nodes measured from that of
-    a slack node that absorbs the bound slack, read off the final step's
-    all-pairs best paths.
+    Sources shift together and a deficit node's potential never moves, so
+    each potential stays within a few path gains (at most m 2^33 each) of
+    the start prices: within 2^40 on the grid, plus at most 2^34 for each
+    record `_price_start` re-prices. For m < 2^20 that is far below the
+    sentinel `far` = 2^62, and a distance plus `far` still fits int64.
     """
-    m = c.shape[1]
-    pi = start.copy()
+    n, m = c.shape
+    far, done = 2**62, np.iinfo(np.int64).max
+    pi = pi.copy()
     W, witness = _arc_table(c, pi)
-    counts = np.bincount(pi, minlength=m).tolist()
-    while True:
-        D = _best_paths(W)
-        # a transfer a -> b changes the total violation by out[a] + into[b]
-        out = [(k <= lo) - (k > up) for k, lo, up in zip(counts, lower, upper)]
-        into = [(k >= up) - (k < lo) for k, lo, up in zip(counts, lower, upper)]
-        change = np.where(D > -np.inf, np.add.outer(out, into), 3)
-        change.ravel()[:: m + 1] = 3  # no transfer from a record to itself
-        least = change.min()
-        gain = np.where(change == least, D, -np.inf)
-        a, b = divmod(int(gain.argmax()), m)
-        if least > 0 or (least == 0 and gain[a, b] <= 0):
-            break
-        path = _tight_path(W, D, a, b)
-        # read every arc's witness before any input moves, so each arc
-        # moves the input its gain was read from
-        movers = [(witness[u, v], v) for u, v in zip(path, path[1:])]
-        for i, v in movers:
-            _move(c, pi, W, witness, i, v)
-        counts[a] -= 1
-        counts[b] += 1
-    # Longest paths from a virtual root with a zero arc to every node of the
-    # residual graph, whose slack node has arcs u -> slack where counts[u] <
-    # upper[u] and slack -> u where counts[u] > lower[u]; with no positive
-    # cycle, a longest path passes the slack node at most once. The
-    # zero-length path (the diagonal of D) counts as a path.
-    counts, lower, upper = np.array(counts), np.asarray(lower), np.asarray(upper)
-    reach = D.max(axis=0)
-    phi_slack = reach[counts < upper].max(initial=0.0)
-    phi = np.maximum(reach, phi_slack + D[counts > lower].max(axis=0, initial=-np.inf))
-    return pi, (phi - phi_slack).astype(np.int64)
-
-
-def _best_paths(W):
-    """Max-plus Floyd-Warshall: D[u, v] is the largest gain of a path from
-    u to v (0 for u == v, -inf where none exists); the residual graph of
-    an optimum has no positive cycle.
-
-    Arc gains are integers of magnitude at most 2^33, so every path sum,
-    and every sum of two paths that a relaxation forms, is an integer of
-    magnitude at most 2 (m - 1) 2^33, exact in float64 while that stays
-    within 2^53.
-    """
-    m = W.shape[0]
-    if (m - 1) * 2**34 > 2**53:
-        raise InvalidInput(f"{m} records exceed the {2**19 + 1} that exact path gains allow")
-    D = W.copy()
-    D.ravel()[:: m + 1] = 0.0
-    for t in range(m):
-        np.maximum(D, D[:, t, None] + D[t], out=D)
-    return D
+    counts = np.bincount(pi, minlength=m)
+    upper = np.minimum(upper, n + 1)  # above n binds no map; keeps f.sum() small
+    f = np.where(phi > 0, upper, np.where(phi < 0, lower, np.clip(counts, lower, upper)))
+    p = np.append(phi, 0)
+    excess = np.append(counts - f, f.sum() - n)
+    length = np.empty((m + 1, m + 1), dtype=np.int64)
+    while np.any(excess > 0):
+        held = witness >= 0
+        np.subtract(p[:m], p[:m, None], out=length[:m, :m])
+        length[:m, :m][held] -= W[held].astype(np.int64)
+        length[:m, :m][~held] = far
+        length[:m, m] = np.where(f < upper, p[m] - p[:m], far)
+        length[m] = np.append(np.where(f > lower, p[:m] - p[m], far), far)
+        dist = np.where(excess > 0, 0, far)
+        key = dist.copy()  # the unsettled nodes' distances; `done` once settled
+        came = np.arange(m + 1)  # a source is its own start
+        while True:
+            t = int(key.argmin())
+            if key[t] >= far:
+                raise AmsalError("bound repair: no record can take the excess count")
+            if excess[t] < 0:
+                break
+            key[t] = done
+            alt = length[t] + dist[t]
+            better = alt < dist  # never a settled node, as no length is negative
+            key[better] = dist[better] = alt[better]
+            came[better] = t
+        settled = key == done
+        p[settled] -= dist[settled] - dist[t]
+        path = _walk(came, t)[::-1]
+        arcs = list(zip(path, path[1:]))
+        # the path has length 0, so it stays a shortest path while it stays
+        # tight: augment along it until it is not, or an end is balanced
+        while excess[path[0]] > 0 > excess[t] and all(
+                f[u] < upper[u] if v == m else f[v] > lower[v] if u == m
+                else W[u, v] == p[v] - p[u] for u, v in arcs):
+            # one input per record arc; slack arcs alone move as much
+            # count as their bounds and the path's ends allow
+            unit = min(excess[path[0]], -excess[t])
+            for u, v in arcs:
+                unit = min(unit, upper[u] - f[u] if v == m else f[v] - lower[v] if u == m else 1)
+            movers = []
+            for u, v in arcs:
+                if v == m:
+                    f[u] += unit
+                elif u == m:
+                    f[v] -= unit
+                else:  # read every witness before any input moves
+                    movers.append((witness[u, v], v))
+            for i, v in movers:
+                _move(c, pi, W, witness, i, v)
+            excess[path[0]] -= unit
+            excess[t] += unit
+    return pi, p[:m] - p[m]
 
 
 def _search(arcs, start):
@@ -429,14 +430,6 @@ def _walk(came, node):
     while came[path[-1]] != path[-1]:
         path.append(came[path[-1]])
     return path
-
-
-def _tight_path(W, D, a, b):
-    """Node sequence of a best a -> b path: a breadth-first search over the
-    arcs that lie on some best path to b."""
-    if W[a, b] == D[a, b]:
-        return [a, b]  # what the search finds first when the direct arc is best
-    return _walk(_search((W + D[:, b] == D[:, b, None]).tolist(), a), b)[::-1]
 
 
 def _lex_refine(c, pi, phi, lower, upper):

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_assignment import (
-    TooLarge,
-    best_paths,
-    brute_force_assignment,
-    reference_assignment,
-)
+from reference_assignment import TooLarge, brute_force_assignment, reference_assignment
 
 import amsal.assignment
 from amsal import (
@@ -132,7 +127,7 @@ def test_matches_brute_force_property(instance):
 @given(_tiny_tied_instances())
 def test_lex_refine_maps_every_optimum_to_the_brute_force_map(instance):
     # the refine accepts any optimal map and any optimal duals: here the
-    # duals of the first and of the last optimum in lexicographic order
+    # duals that the repair reaches from two different start prices
     s, records = instance
     n, m = s.shape
     lower, upper = records.lower_bounds, records.upper_bounds
@@ -143,8 +138,11 @@ def test_lex_refine_maps_every_optimum_to_the_brute_force_map(instance):
                      c[np.arange(n), maps].sum(axis=1), np.iinfo(np.int64).min)
     optima = maps[value == value.max()]
     expected = brute_force_assignment(s, records).map
-    for start in (optima[0], optima[-1]):
-        _, phi = amsal.assignment._initial_optimum(c, start, lower.tolist(), upper.tolist())
+    duals = []
+    for start in (np.zeros(m, dtype=np.int64), c.max(axis=0)):
+        pi, phi = amsal.assignment._price_start(c, lower.tolist(), upper.tolist(), start)
+        duals.append(amsal.assignment._initial_optimum(c, pi, phi, lower, upper)[1])
+    for phi in duals:
         for pi in optima:
             refined = amsal.assignment._lex_refine(c, pi.copy(), phi, lower, upper)
             np.testing.assert_array_equal(refined, expected)
@@ -180,6 +178,33 @@ def test_matches_reference_solver_corpus():
         np.testing.assert_array_equal(
             solve_assignment(s, records).map, reference_assignment(s, records)
         )
+
+
+def _many_record_corpus(rng):
+    """Nearly one record per input: m = n or n - 1, bounds [0, 2] each,
+    over rounded and tied scores, each with a nearby second score matrix."""
+    for n in range(4, 41):
+        m = n - n % 2
+        if n % 4 < 2:
+            s = np.rint(2.0 * rng.standard_normal((n, m)))
+            nearby = s + np.rint(rng.standard_normal((n, m)))
+        else:
+            s = rng.choice([-1.0, 0.0, 1.0], size=(n, m))
+            nearby = np.where(rng.random((n, m)) < 0.2, -s, s)
+        yield s, nearby, _records(m, np.zeros(m, np.int64), np.full(m, 2), seed=n)
+
+
+def test_many_record_corpus_matches_the_reference_cold_and_warm():
+    repair = mock.Mock(wraps=amsal.assignment._initial_optimum)
+    with mock.patch.object(amsal.assignment, "_initial_optimum", repair):
+        for s, nearby, records in _many_record_corpus(np.random.default_rng(22)):
+            prices = np.zeros(records.m)
+            cold = solve_assignment(s, records, prices)
+            np.testing.assert_array_equal(cold.map, reference_assignment(s, records))
+            # the next solve starts from this one's optimal prices
+            warm = solve_assignment(nearby, records, prices)
+            np.testing.assert_array_equal(warm.map, reference_assignment(nearby, records))
+    assert repair.call_count > 37  # the corpus exercises the bound repair
 
 
 @st.composite
@@ -248,8 +273,9 @@ def test_repair_duals_certify_its_map(instance):
     s, records, phi = instance
     c = amsal.assignment._integer_costs(s)
     lower, upper = records.lower_bounds, records.upper_bounds
-    start = (c - phi).argmax(axis=1)
-    pi, phi = amsal.assignment._initial_optimum(c, start, lower.tolist(), upper.tolist())
+    # the start prices as solve_assignment clips them onto the cost grid
+    phi = np.clip(phi, -2**40, 2**40)
+    pi, phi = amsal.assignment._initial_optimum(c, (c - phi).argmax(axis=1), phi, lower, upper)
     _assert_certifies(c, pi, phi, lower, upper)
 
 
@@ -288,31 +314,6 @@ def test_move_gains_arc_table_matches_dense_maximum():
                 k = witness[u, v]
                 assert pi[k] == u and c[k, v] - c[k, u] == W[u, v]
             assert np.all(witness[~np.isfinite(W)] == -1)
-
-
-def test_best_paths_and_tight_paths_match_the_list_floyd_warshall():
-    rng = np.random.default_rng(21)
-    for _ in range(200):
-        m = int(rng.integers(1, 9))
-        # arcs bounded by potential differences leave no positive cycle;
-        # a coarse grid makes many zero-gain cycles
-        p = rng.integers(-2, 3, size=m) * 2**31
-        W = (p[None, :] - p[:, None] - rng.integers(0, 2, size=(m, m)) * 2**31).astype(float)
-        W[rng.random((m, m)) < 0.4] = -np.inf
-        np.fill_diagonal(W, -np.inf)
-        D = amsal.assignment._best_paths(W)
-        ref, _ = best_paths([[None if w == -np.inf else int(w) for w in row] for row in W])
-        np.testing.assert_array_equal(D, [[-np.inf if d is None else d for d in r] for r in ref])
-        for a, b in zip(*np.nonzero(np.isfinite(D) & ~np.eye(m, dtype=bool))):
-            path = amsal.assignment._tight_path(W, D, a, b)
-            assert path[0] == a and path[-1] == b and len(set(path)) == len(path)
-            assert sum(W[u, v] for u, v in zip(path, path[1:])) == D[a, b]
-
-
-def test_best_paths_refuses_records_beyond_exact_float_range():
-    m = 2**19 + 2
-    with pytest.raises(InvalidInput, match=str(m)):
-        amsal.assignment._best_paths(np.broadcast_to(-np.inf, (m, m)))
 
 
 @st.composite
@@ -355,11 +356,11 @@ def test_certified_start_skips_the_repair_and_path_searches():
     s = np.random.default_rng(19).standard_normal((n, 2))
     s[:, 1] += 0.2  # argmax puts ~56% in record 1, above its upper bound
     records = _records(2, *bounds_from_priors([0.5, 0.5], n, 0.05))
-    paths = mock.Mock(wraps=amsal.assignment._best_paths)
+    moves = mock.Mock(wraps=amsal.assignment._move)
     repair = mock.Mock(wraps=amsal.assignment._initial_optimum)
-    with mock.patch.multiple(amsal.assignment, _best_paths=paths, _initial_optimum=repair):
+    with mock.patch.multiple(amsal.assignment, _move=moves, _initial_optimum=repair):
         pi = solve_assignment(s, records)
-    assert paths.call_count == 0 and repair.call_count == 0
+    assert moves.call_count == 0 and repair.call_count == 0
     c = amsal.assignment._integer_costs(s)
     expected = _m2_oracle(c, records.lower_bounds, records.upper_bounds)
     np.testing.assert_array_equal(pi.map, expected)

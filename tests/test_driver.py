@@ -277,19 +277,19 @@ def test_warm_started_a_steps_repair_less_and_change_nothing():
     records, truth = as_records(data, slack=0.2)
 
     def counted(solve):
-        paths = mock.Mock(wraps=amsal.assignment._best_paths)
+        moves = mock.Mock(wraps=amsal.assignment._move)
         repairs = mock.Mock(wraps=amsal.assignment._initial_optimum)
-        with mock.patch.multiple(amsal.assignment, _best_paths=paths, _initial_optimum=repairs), \
+        with mock.patch.multiple(amsal.assignment, _move=moves, _initial_optimum=repairs), \
                 mock.patch("amsal.driver.solve_assignment", solve):
             result = run_amsal(data.x, records, AmsalConfig(rng_seed=0), truth=truth)
-        return result, paths.call_count, repairs.call_count
+        return result, moves.call_count, repairs.call_count
 
-    warm, warm_paths, warm_repairs = counted(solve_assignment)
+    warm, warm_moves, warm_repairs = counted(solve_assignment)
     # every A-step starts from zero prices, as a lone solve_assignment does
-    cold, cold_paths, cold_repairs = counted(lambda s, records, prices: solve_assignment(s, records))
-    # measured: 191 best-path tables over 38 repairs, against 517 over 51 cold
-    assert warm_paths <= 191 and warm_repairs <= 38
-    assert cold_paths > warm_paths and cold_repairs > warm_repairs
+    cold, cold_moves, cold_repairs = counted(lambda s, records, prices: solve_assignment(s, records))
+    # measured: 224 input moves over 36 repairs, against 675 over 51 cold
+    assert warm_moves <= 224 and warm_repairs <= 36
+    assert cold_moves > warm_moves and cold_repairs > warm_repairs
     assert warm.trace.rows == cold.trace.rows
     np.testing.assert_array_equal(warm.assignment.map, cold.assignment.map)
 
