@@ -539,9 +539,10 @@ def run_pipeline(cfg):
     Writes assignment.csv, eraser.bin, x_erased.bin, trace.csv and
     report.txt under cfg.output_dir and returns the EvalReport. All
     randomness flows from cfg.rng_seed, so reruns are byte identical.
-    The task predictions are in-sample: a softmax probe on the erased
-    inputs for classification, least squares with an intercept for
-    regression.
+    The task predictions are in-sample: for classification, the ridge
+    softmax probe of `fit_logistic_probe` (standardized features, trained
+    to a gradient tolerance) on the erased inputs; for regression, least
+    squares with an intercept.
     """
     cfg.validate()
     x = load_matrix(cfg.x)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference_probe import reference_inlp, reference_probe
+from reference_probe import reference_inlp, reference_probe, regularized_loss
 
 from amsal import (
     Assignment,
@@ -195,12 +195,7 @@ def test_sal_probe_near_chance_after_erasure():
 
 def _probe_corpus():
     """(x, y, c) instances: c in {2, 3, 8}, n from 5 to 500, d from 1 to 128,
-    with separable data, a constant column and a class of one member.
-
-    Features stay within a few units. With features of magnitude 20 and
-    more (class offsets of 4 k at c = 8), the fixed PROBE_STEP makes the
-    descent oscillate and amplify rounding, so any two summation orders,
-    these two included, end up to 1e-3 apart and may flip a prediction."""
+    with separable data, a constant column and a class of one member."""
     rng = np.random.default_rng(14)
     shapes = [(5, 1), (7, 3), (12, 2), (20, 5), (40, 8), (60, 16), (90, 1), (150, 32),
               (300, 8), (500, 128)]
@@ -223,6 +218,16 @@ def _probe_corpus():
                 yield x + rng.uniform(-1, 1), y, c
 
 
+def _predict(x, w, b):
+    return (x @ w.T + b).argmax(axis=1)
+
+
+# Worst relative gap of the probe's regularized loss above the Newton
+# optimum over the corpus: 1.5e-5 measured, on (500, 128) cases that stop
+# at the PROBE_EPOCHS cap.
+PROBE_LOSS_RTOL = 3e-5
+
+
 def test_probe_matches_reference_corpus():
     count = 0
     for x, y, c in _probe_corpus():
@@ -230,10 +235,9 @@ def test_probe_matches_reference_corpus():
         w, b = fit_logistic_probe(x, y, c)
         w_ref, b_ref = reference_probe(x, y, c)
         assert w.shape == w_ref.shape and b.shape == b_ref.shape
-        tol = 1e-10 * (1.0 + np.abs(w_ref).max())
-        assert np.abs(w - w_ref).max() <= tol and np.abs(b - b_ref).max() <= tol
-        np.testing.assert_array_equal((x @ w.T + b).argmax(axis=1),
-                                      (x @ w_ref.T + b_ref).argmax(axis=1))
+        np.testing.assert_array_equal(_predict(x, w, b), _predict(x, w_ref, b_ref))
+        loss, best = regularized_loss(x, y, w, b), regularized_loss(x, y, w_ref, b_ref)
+        assert -1e-9 * best <= loss - best <= PROBE_LOSS_RTOL * best
     assert count >= 50
 
 
@@ -244,7 +248,60 @@ def test_probe_is_deterministic():
         assert w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
 
 
+def test_probe_predictions_ignore_scale_and_shift():
+    for x, y, c in _probe_corpus():
+        pred = _predict(x, *fit_logistic_probe(x, y, c))
+        for a, shift in ((25.0, 0.0), (1.0, 7.0), (25.0, -3.0)):
+            moved = a * x + shift
+            np.testing.assert_array_equal(_predict(moved, *fit_logistic_probe(moved, y, c)), pred)
+
+
+def test_probe_constant_column_stays_inert_after_scaling():
+    """A constant column is rounding noise once centered, at any scale: its
+    weight stays exactly 0 instead of standardizing the noise up."""
+    checked = 0
+    for x, y, c in _probe_corpus():
+        if x.shape[1] == 1 or np.ptp(x[:, -1]) != 0.0:
+            continue
+        for a, shift in ((1.0, 0.0), (25.0, 0.0), (25.0, -3.0)):
+            w, _ = fit_logistic_probe(a * x + shift, y, c)
+            assert not w[:, -1].any()
+        checked += 1
+    assert checked >= 10
+
+
+def test_probe_large_feature_offsets_match_reference():
+    """Class offsets of 4 k at c = 8 put features at magnitude 20 to 30,
+    where a fixed step oscillates; the probe still lands on the optimum's
+    predictions."""
+    rng = np.random.default_rng(16)
+    for n, d in ((80, 2), (120, 4), (200, 6), (300, 3), (400, 8)):
+        y = np.concatenate([np.arange(8), rng.integers(0, 8, n - 8)])
+        x = rng.standard_normal((n, d))
+        x[:, 0] += 4.0 * y
+        x[:, 1:] += 20.0
+        w, b = fit_logistic_probe(x, y, 8)
+        w_ref, b_ref = reference_probe(x, y, 8)
+        np.testing.assert_array_equal(_predict(x, w, b), _predict(x, w_ref, b_ref))
+
+
+@pytest.mark.parametrize("x, y, num_classes, match", [
+    (np.ones((4, 2)), np.array([0, 1, 2, 0]), 2, "y row 2: class id 2 outside"),
+    (np.ones((4, 2)), np.array([0, -1, 1, 0]), 2, "y row 1: class id -1 outside"),
+    (np.ones((4, 2)), np.array([0, 0, 0, 0]), 1, "num_classes"),
+    (np.ones((4, 2)), np.array([0, 1, 1]), 2, "one class id per row"),
+    (np.array([[0.0, 1.0], [np.nan, 2.0]]), np.array([0, 1]), 2, "x contains non-finite"),
+    (np.ones((2, 2)), np.array([0.0, 1.0]), 2, "integer class ids"),
+], ids=["label-too-large", "label-negative", "one-class", "length-mismatch", "nan-in-x",
+        "float-labels"])
+def test_probe_rejects_bad_input(x, y, num_classes, match):
+    with pytest.raises(InvalidInput, match=match):
+        fit_logistic_probe(x, y, num_classes)
+
+
 def test_inlp_matches_reference_inlp():
+    """Same round counts as INLP on the exact probe, and projections within
+    2e-4 of it (5.0e-5 at most measured on these instances)."""
     rng = np.random.default_rng(15)
     for n, d, c in ((80, 4, 2), (120, 6, 3), (200, 12, 2), (300, 8, 8), (150, 3, 3),
                     (500, 32, 2)):
@@ -254,6 +311,6 @@ def test_inlp_matches_reference_inlp():
         eraser = fit_inlp(x, y, max_rounds=d)
         projection, rounds = reference_inlp(x, y, d)
         assert eraser.iterations == rounds >= 1
-        assert np.abs(eraser.projection - projection).max() <= 1e-10
+        assert np.abs(eraser.projection - projection).max() <= 2e-4
         again = fit_inlp(x, y, max_rounds=d)
         assert again.projection.tobytes() == eraser.projection.tobytes()
