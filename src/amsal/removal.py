@@ -198,8 +198,7 @@ def fit_logistic_probe(x, y, num_classes):
     """
     x = as_matrix(x, "x")
     n, d = x.shape
-    if isinstance(num_classes, bool) or not isinstance(num_classes, (int, np.integer)) \
-            or num_classes < 2:
+    if not isinstance(num_classes, (int, np.integer)) or num_classes < 2:
         raise InvalidInput(f"num_classes must be an integer of at least 2, got {num_classes!r}")
     y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != n:
