@@ -101,9 +101,12 @@ def _fix_signs(u):
 # taking a core from the single-threaded code that follows. A product whose
 # rows split into blocks of at least MIN_BLOCK_ROWS under that size is run
 # block by block on the calling thread; the bits are the same, since BLAS
-# splits rows and columns among threads, never the summed axis.
+# splits rows and columns among threads, never the summed axis. numpy's
+# eigvalsh wakes the threads too once the matrix is larger than 64 x 64,
+# so a bound on the top eigenvalue is taken from products instead.
 ONE_THREAD_MADDS = 1 << 18
 MIN_BLOCK_ROWS = 16
+EIG_SQUARINGS = 7
 
 
 def _matmul(a, b):
@@ -115,6 +118,38 @@ def _matmul(a, b):
     for i in range(0, a.shape[0], rows):
         np.matmul(a[i:i + rows], b, out=out[i:i + rows])
     return out
+
+
+def _gram(a):
+    """a.T @ a for a 2-d array, summed over row blocks on the calling thread
+    where they allow; unlike _matmul's, the bits can differ from a.T @ a."""
+    rows = ONE_THREAD_MADDS // max(1, a.shape[1] * a.shape[1])
+    if rows < MIN_BLOCK_ROWS or a.shape[0] <= rows:
+        return a.T @ a
+    out = np.zeros((a.shape[1], a.shape[1]), dtype=a.dtype)
+    for i in range(0, a.shape[0], rows):
+        block = a[i:i + rows]
+        out += block.T @ block
+    return out
+
+
+def _top_eigenvalue_bound(gram):
+    """An upper bound on the largest eigenvalue of a symmetric positive
+    semidefinite matrix: trace(gram^p)^(1/p) for p = 2**EIG_SQUARINGS, by
+    repeated squaring with _matmul. For a matrix of order d it exceeds the
+    eigenvalue by a factor of at most d^(1/p) (1.039 at d = 128; equality
+    for the identity), and it is 0 for the zero matrix."""
+    total = float(np.trace(gram))
+    if not total > 0.0:
+        return 0.0
+    power = gram / total
+    log_bound = 0.0
+    for k in range(1, EIG_SQUARINGS + 1):
+        power = _matmul(power, power)
+        t = np.trace(power)
+        power /= t
+        log_bound += np.log(t) / 2 ** k
+    return total * float(np.exp(log_bound))
 
 
 def svd(a):

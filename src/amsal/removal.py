@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import (RANK_RTOL, _fix_signs, _matmul, _rank, as_matrix, center_columns,
-                     cross_covariance)
+from .linalg import (RANK_RTOL, _fix_signs, _gram, _matmul, _rank, _top_eigenvalue_bound,
+                     as_matrix, center_columns, cross_covariance)
 
 SAL = "sal"
 INLP = "inlp"
@@ -186,8 +186,9 @@ def fit_logistic_probe(x, y, num_classes):
     cross-entropy plus PROBE_L2 / 2 times the squared norm of the
     standardized weights (the bias is not penalized), so its predictions do
     not depend on the scale or offset of any column. Nesterov's accelerated
-    gradient descent (step 1/L for the exact Lipschitz bound L of the
-    gradient, momentum (1 - sqrt(q)) / (1 + sqrt(q)) with q = PROBE_L2 / L)
+    gradient descent (step 1/L, where L bounds the gradient's Lipschitz
+    constant from above through linalg._top_eigenvalue_bound, and momentum
+    (1 - sqrt(q)) / (1 + sqrt(q)) with q = PROBE_L2 / L)
     runs from zero until the largest gradient entry is at most PROBE_TOL of
     its value at zero, or for PROBE_EPOCHS epochs. The work is class-major
     on one (n, d + 1) buffer [xs, 1]: (c, n) logits reduce over axis 0, and
@@ -221,10 +222,9 @@ def fit_logistic_probe(x, y, num_classes):
     xs *= inv
     xa[:, d] = 1.0
     # xs is centered, so the Gram matrix of [xs, 1] / n is block-diagonal
-    # with blocks xs^T xs / n (whose top eigenvalue xs xs^T / n shares) and
-    # 1, and the softmax cross-entropy's Hessian in the logits is at most 1/2
-    gram = xs.T @ xs if n >= d else xs @ xs.T
-    lip = max(float(np.linalg.eigvalsh(gram)[-1]) / n, 1.0) / 2.0 + PROBE_L2
+    # with blocks xs^T xs / n and 1, and the softmax cross-entropy's Hessian
+    # in the logits is at most 1/2
+    lip = max(_top_eigenvalue_bound(_gram(xs)) / n, 1.0) / 2.0 + PROBE_L2
     root = np.sqrt(PROBE_L2 / lip)
     momentum = (1.0 - root) / (1.0 + root)
 

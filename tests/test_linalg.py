@@ -182,6 +182,44 @@ def test_blocked_matmul_matches_plain_product(n, k, m):
     np.testing.assert_array_equal(_matmul(b.T, a.T), b.T @ a.T)
 
 
+@pytest.mark.parametrize("n,d", [
+    (500, 128),  # 16-row blocks
+    (37, 128),   # a short last block
+    (16, 128),   # one block: plain product
+    (300, 8),    # small: plain product
+    (40, 768),   # blocks under 16 rows: plain product
+])
+def test_blocked_gram_matches_plain_product(n, d):
+    from amsal.linalg import _gram
+
+    a = np.random.default_rng(n * 1000 + d).standard_normal((n, d))
+    plain = a.T @ a
+    np.testing.assert_allclose(_gram(a), plain, rtol=0, atol=1e-12 * np.abs(plain).max())
+
+
+def test_top_eigenvalue_bound_is_an_upper_bound_within_its_factor():
+    from amsal.linalg import EIG_SQUARINGS, _top_eigenvalue_bound
+
+    rng = np.random.default_rng(17)
+    grams = [np.eye(128), np.eye(1), np.diag([0.0, 0.0, 5.0])]
+    for n, d in ((500, 128), (300, 8), (100, 16), (20, 64)):
+        a = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=d)
+        grams.append(a.T @ a)
+    # the top direction orthogonal to the all-ones vector and to every
+    # coordinate axis but two, where a power iteration from ones stalls
+    q = np.linalg.qr(rng.standard_normal((128, 128)))[0]
+    q[:, 0] = 0.0
+    q[:2, 0] = [2 ** -0.5, -(2 ** -0.5)]
+    q = np.linalg.qr(q)[0]
+    grams.append((q * np.linspace(1.0, 2.0, 128)[::-1]) @ q.T)
+    for g in grams:
+        exact = np.linalg.eigvalsh(g)[-1]
+        got = _top_eigenvalue_bound(g)
+        assert exact * (1 - 1e-12) <= got <= exact * g.shape[0] ** 0.5 ** EIG_SQUARINGS * (1 + 1e-12)
+    assert _top_eigenvalue_bound(np.eye(128)) == pytest.approx(128 ** 0.5 ** EIG_SQUARINGS)
+    assert _top_eigenvalue_bound(np.zeros((5, 5))) == 0.0
+
+
 def test_norms():
     a = np.diag([3.0, 1.0])
     assert spectral_norm(a) == pytest.approx(3.0)
