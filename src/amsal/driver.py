@@ -24,7 +24,8 @@ import numpy as np
 from .assignment import (Assignment, GuardedRecords, assignment_objective, score_matrix,
                          solve_assignment)
 from .errors import InvalidInput
-from .linalg import SvdResult, as_matrix, center_columns, cross_covariance, svd
+from .linalg import (SvdResult, _check_cross_scale, as_matrix, center_columns,
+                     cross_covariance, svd)
 
 
 @dataclass(frozen=True)
@@ -164,6 +165,7 @@ def run_amsal(x, records, cfg, truth=None):
         seed_labels = _checked_seed_labels(cfg.seed_labels, n, records.m)
     x_c, _ = center_columns(x)
     z_c, _ = center_columns(records.z)
+    _check_cross_scale(x_c, z_c)
     centered = GuardedRecords(z_c, records.lower_bounds, records.upper_bounds)
 
     rows = []

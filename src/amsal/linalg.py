@@ -178,6 +178,20 @@ def cross_covariance(x, z, pi):
     return x.T @ z[idx]
 
 
+def _check_cross_scale(x, z):
+    """Raise InvalidInput unless the cross-covariance of x and the record
+    rows z stays finite under every map, and so do the scores and the
+    objective built from it: each entry of any of them is at most the sum
+    of |x| times the largest row sum of |z|."""
+    with np.errstate(over="ignore"):
+        mass, row = np.abs(x).sum(), np.abs(z).sum(axis=1).max()
+        bound = mass * row
+    if not bound <= np.finfo(np.float64).max / 2:
+        raise InvalidInput(f"the cross-covariance of x and the records overflows float64: "
+                           f"x sums to {mass:.3g} in magnitude and a record row to "
+                           f"{row:.3g}; rescale the inputs")
+
+
 def center_columns(x):
     """Subtract per-column means; returns (centered, means)."""
     x = as_matrix(x, "x")

@@ -10,7 +10,9 @@ the orthogonal complement of the accumulated probe directions.
 The probe, shared by the INLP rounds, `probe_accuracy` and the pipeline's
 task probe, is ridge softmax regression on standardized features trained
 to convergence, as INLP trains its probes: its answer depends neither on
-the scale or offset of a column nor on an epoch budget.
+the scale or offset of a column nor on an epoch budget. It descends with
+Nesterov momentum that restarts whenever a step goes uphill, which needs
+no estimate of the objective's curvature.
 
 Both erasers subtract the means stored at fit time and then apply an
 orthogonal projection, so the output stays in the original coordinate
@@ -19,13 +21,14 @@ system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import (RANK_RTOL, _fix_signs, _gram, _matmul, _rank, _top_eigenvalue_bound,
-                     as_matrix, center_columns, cross_covariance)
+from .linalg import (RANK_RTOL, _check_cross_scale, _fix_signs, _gram, _matmul, _rank,
+                     _top_eigenvalue_bound, as_matrix, center_columns, cross_covariance)
 
 SAL = "sal"
 INLP = "inlp"
@@ -103,6 +106,7 @@ def fit_sal(x, records, pi, r="auto"):
     x = as_matrix(x, "x")
     n, d = x.shape
     x_c, means = center_columns(x)
+    _check_cross_scale(x_c, records.z)
     omega = cross_covariance(x_c, records.z, pi)
     u_full, sigma, _ = np.linalg.svd(omega, full_matrices=True)
     if r == "auto":
@@ -186,13 +190,19 @@ def fit_logistic_probe(x, y, num_classes):
     cross-entropy plus PROBE_L2 / 2 times the squared norm of the
     standardized weights (the bias is not penalized), so its predictions do
     not depend on the scale or offset of any column. Nesterov's accelerated
-    gradient descent (step 1/L, where L bounds the gradient's Lipschitz
-    constant from above through linalg._top_eigenvalue_bound, and momentum
-    (1 - sqrt(q)) / (1 + sqrt(q)) with q = PROBE_L2 / L)
-    runs from zero until the largest gradient entry is at most PROBE_TOL of
-    its value at zero, or for PROBE_EPOCHS epochs. The work is class-major
-    on one (n, d + 1) buffer [xs, 1]: (c, n) logits reduce over axis 0, and
-    one GEMM gives the weight and the bias gradient together.
+    gradient descent runs from zero at the step 1/L, where L bounds the
+    gradient's Lipschitz constant from above through
+    linalg._top_eigenvalue_bound. Its momentum is (t_k - 1) / t_{k+1} with
+    t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 and t_0 = 1, and t falls back to 1
+    whenever a step points uphill: the gradient at the look-ahead point has
+    a positive inner product with the step (the gradient restart of
+    O'Donoghue and Candes, 2015). The restart adapts to the objective's
+    curvature, which a class of one member makes far smaller than PROBE_L2
+    along its bias. It stops once the largest gradient entry is at most
+    PROBE_TOL of its value at zero, or after PROBE_EPOCHS epochs. The work
+    is class-major on one (n, d + 1) buffer [xs, 1]: (c, n) logits reduce
+    over axis 0, and one GEMM gives the weight and the bias gradient
+    together.
 
     Raises InvalidInput unless x is a finite matrix, num_classes an integer
     of at least 2 and y one integer class id in [0, num_classes) per row.
@@ -225,16 +235,15 @@ def fit_logistic_probe(x, y, num_classes):
     # with blocks xs^T xs / n and 1, and the softmax cross-entropy's Hessian
     # in the logits is at most 1/2
     lip = max(_top_eigenvalue_bound(_gram(xs)) / n, 1.0) / 2.0 + PROBE_L2
-    root = np.sqrt(PROBE_L2 / lip)
-    momentum = (1.0 - root) / (1.0 + root)
 
     onehot = np.zeros((num_classes, n))
     onehot[y, np.arange(n)] = 1.0
     wa = np.zeros((num_classes, d + 1))
-    prev = wa
+    move = np.zeros_like(wa)  # the last step, x_k - x_{k-1}
+    t, momentum = 1.0, 0.0
     first = None
     for _ in range(PROBE_EPOCHS):
-        ahead = wa + momentum * (wa - prev)
+        ahead = wa + momentum * move
         p = ahead @ xa.T
         p -= p.max(axis=0)
         np.exp(p, out=p)
@@ -249,8 +258,13 @@ def fit_logistic_probe(x, y, num_classes):
         if size <= PROBE_TOL * first:
             wa = ahead
             break
-        prev = wa
-        wa = ahead - grad / lip
+        new = ahead - grad / lip
+        move, wa = new - wa, new
+        if np.vdot(grad, move) > 0.0:  # the step points uphill: restart the momentum
+            t = 1.0
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        momentum = (t - 1.0) / t_next
+        t = t_next
     w = wa[:, :d] * inv
     return w, wa[:, d] - w @ means
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from amsal.cli import main
-from amsal.io import load_assignment, load_labels, load_matrix, save_assignment
+from amsal.io import load_assignment, load_labels, load_matrix, save_assignment, save_matrix
 
 
 def _synth(tmp_path, n=120, seed=0):
@@ -381,3 +381,23 @@ def test_unusable_output_path_exits_2_naming_it(tmp_path, capsys, command):
         }[command]
     assert main(argv) == 2
     assert f"InvalidInput: {bad}: Not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", [
+    ["align"],
+    ["erase", "--method", "sal", "--assignment", "{pi}"],
+], ids=["align", "erase-sal"])
+def test_overflowing_cross_covariance_is_invalid_input(tmp_path, capsys, command):
+    """Inputs at 1e200 make x^T z overflow: the CLI says so and exits 2
+    instead of warning and failing later on an infinite matrix."""
+    rng = np.random.default_rng(5)
+    save_matrix(1e200 * rng.standard_normal((40, 4)), tmp_path / "x.bin")
+    save_matrix(1e200 * rng.standard_normal((2, 3)), tmp_path / "z.bin")
+    (tmp_path / "pi.csv").write_text("".join(f"{i % 2}\n" for i in range(40)))
+    rc = main([a.format(pi=tmp_path / "pi.csv") for a in command] + [
+        "--x", str(tmp_path / "x.bin"), "--records", str(tmp_path / "z.bin"),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert "the cross-covariance of x and the records overflows" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from amsal import (
     fit_logistic_probe,
     fit_sal,
     probe_accuracy,
+    removal,
     spectral_norm,
 )
 
@@ -223,12 +224,13 @@ def _predict(x, w, b):
 
 
 # Worst relative gap of the probe's regularized loss above the Newton
-# optimum over the corpus: 1.5e-5 measured, on (500, 128) cases that stop
-# at the PROBE_EPOCHS cap.
+# optimum over the corpus: 1.6e-5 measured, on a (500, 128) case at c = 2
+# that stops at the gradient tolerance after 114 epochs (no case needs more
+# than 278).
 PROBE_LOSS_RTOL = 3e-5
 
 
-def test_probe_matches_reference_corpus():
+def _assert_corpus_matches_reference():
     count = 0
     for x, y, c in _probe_corpus():
         count += 1
@@ -239,6 +241,19 @@ def test_probe_matches_reference_corpus():
         loss, best = regularized_loss(x, y, w, b), regularized_loss(x, y, w_ref, b_ref)
         assert -1e-9 * best <= loss - best <= PROBE_LOSS_RTOL * best
     assert count >= 50
+
+
+def test_probe_matches_reference_corpus():
+    _assert_corpus_matches_reference()
+
+
+def test_probe_matches_reference_corpus_within_300_epochs(monkeypatch):
+    """The probe reaches its tolerance well inside the epoch cap on every
+    corpus case, those with a class of one member included, whose bias is
+    far less curved than the ridge: a cap of 300 epochs gives the same
+    answers."""
+    monkeypatch.setattr(removal, "PROBE_EPOCHS", 300)
+    _assert_corpus_matches_reference()
 
 
 def test_probe_is_deterministic():
