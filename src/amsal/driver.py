@@ -24,8 +24,8 @@ import numpy as np
 from .assignment import (Assignment, GuardedRecords, assignment_objective, score_matrix,
                          solve_assignment)
 from .errors import InvalidInput
-from .linalg import (SvdResult, _check_cross_scale, as_matrix, center_columns,
-                     cross_covariance, svd)
+from .linalg import (SvdResult, _check_cross_scale, _check_distance_scale, as_matrix,
+                     center_columns, cross_covariance, svd)
 
 
 @dataclass(frozen=True)
@@ -237,6 +237,7 @@ def kmeans_assign(x, records, cfg):
     distance to their record's center.
     """
     x = as_matrix(x, "x")
+    _check_distance_scale(x)
     n = x.shape[0]
     m = records.m
     records.check_feasible(n)

@@ -10,9 +10,11 @@ Two matrix formats: CSV for interchange (shortest round-trip float
 printing, optional header row) and a raw binary format for speed and
 bit-exact round trips. The binary layout is magic "AMSL", version u32,
 rows u64, cols u64 (all little endian), then rows*cols float64 values
-row major. Eraser model files use the same block layout under the magic
-"AMSE". Pipeline configuration is a flat key = value text file so runs
-can be replayed without any extra dependencies.
+row major. Eraser model files (version 2) hold magic "AMSE", version u32,
+kind u8 (0 sal, 1 inlp), INLP rounds u32, then one (1 + r) x d block, rows
+u64, cols u64 and float64 values: the input means, then the r removed
+directions as rows. Pipeline configuration is a flat key = value text
+file so runs can be replayed without any extra dependencies.
 
 Matrix files move in about the matrix's own memory: binary payloads go
 straight between the file and the array, and CSV is written a row at a
@@ -45,6 +47,7 @@ from .removal import (INLP, INLP_ROUNDS, SAL, Eraser, apply_eraser, fit_inlp,
 MATRIX_MAGIC = b"AMSL"
 ERASER_MAGIC = b"AMSE"
 FORMAT_VERSION = 1
+ERASER_VERSION = 2  # version 1 stored the kept basis or the projection
 
 CSV = "csv"
 BIN = "bin"
@@ -289,34 +292,12 @@ def load_seed_labels(path, n=None, m=None):
     return np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.int64)
 
 
-def _write_block(fh, matrix):
-    rows, cols = matrix.shape
-    fh.write(struct.pack("<QQ", rows, cols))
-    fh.write(np.ascontiguousarray(matrix, dtype="<f8"))
-
-
-def _read_block(raw, offset, path):
-    if len(raw) < offset + 16:
-        raise FormatError(f"{path}: truncated block header at byte {offset}")
-    rows, cols = struct.unpack_from("<QQ", raw, offset)
-    if rows < 1 or cols < 1:
-        raise FormatError(f"{path}: empty {rows}x{cols} block at byte {offset}")
-    end = offset + 16 + rows * cols * 8
-    if len(raw) < end:
-        raise FormatError(f"{path}: truncated block payload at byte {offset + 16}")
-    data = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=offset + 16)
-    if not np.all(np.isfinite(data)):
-        raise FormatError(f"{path}: non-finite value in the block at byte {offset}")
-    return data.reshape(rows, cols), end
-
-
 def save_eraser(eraser, path):
-    kind = 0 if eraser.kind == SAL else 1
-    extra = eraser.removed if eraser.kind == SAL else eraser.iterations
+    block = np.vstack([eraser.input_means, eraser.directions.T])
     with _opened(path, "wb") as fh:
-        fh.write(struct.pack("<4sIBI", ERASER_MAGIC, FORMAT_VERSION, kind, int(extra)))
-        _write_block(fh, eraser.input_means.reshape(1, -1))
-        _write_block(fh, eraser.basis if eraser.kind == SAL else eraser.projection)
+        fh.write(struct.pack("<4sIBIQQ", ERASER_MAGIC, ERASER_VERSION, int(eraser.kind == INLP),
+                             eraser.iterations, *block.shape))
+        fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def load_eraser(path):
@@ -324,25 +305,29 @@ def load_eraser(path):
         raw = fh.read()
     if len(raw) < 13:
         raise FormatError(f"{path}: truncated header at byte {len(raw)}")
-    magic, version, kind, extra = struct.unpack_from("<4sIBI", raw, 0)
+    magic, version, kind, iterations = struct.unpack_from("<4sIBI", raw, 0)
     if magic != ERASER_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-    if version != FORMAT_VERSION:
+    if version != ERASER_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte 4")
-    means, offset = _read_block(raw, 13, path)
-    matrix, end = _read_block(raw, offset, path)
-    if end != len(raw):
-        raise FormatError(f"{path}: {len(raw) - end} trailing bytes at byte {end}")
-    if means.shape != (1, matrix.shape[0]):
-        raise FormatError(
-            f"{path}: means block at byte 13 is {means.shape[0]}x{means.shape[1]}, "
-            f"expected 1x{matrix.shape[0]} for the block at byte {offset}"
-        )
-    if kind == 0:
-        return Eraser(kind=SAL, input_means=means[0], basis=matrix, removed=extra)
-    if kind == 1:
-        return Eraser(kind=INLP, input_means=means[0], projection=matrix, iterations=extra)
-    raise FormatError(f"{path}: unknown eraser kind {kind} at byte 8")
+    if kind > 1:
+        raise FormatError(f"{path}: unknown eraser kind {kind} at byte 8")
+    if len(raw) < 29:
+        raise FormatError(f"{path}: truncated block header at byte 13")
+    rows, cols = struct.unpack_from("<QQ", raw, 13)
+    if rows < 1 or cols < 1:
+        raise FormatError(f"{path}: empty {rows}x{cols} block at byte 13")
+    if len(raw) != 29 + rows * cols * 8:
+        raise FormatError(f"{path}: payload size mismatch at byte 29 "
+                          f"(file {len(raw)}, expected {29 + rows * cols * 8})")
+    block = np.frombuffer(raw, dtype="<f8", offset=29).reshape(rows, cols)
+    if not np.all(np.isfinite(block)):
+        raise FormatError(f"{path}: non-finite value in the block at byte 13")
+    try:
+        return Eraser(kind=(SAL, INLP)[kind], input_means=block[0], directions=block[1:].T,
+                      iterations=iterations)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from None
 
 
 def save_trace(trace, path):

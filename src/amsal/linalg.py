@@ -192,6 +192,19 @@ def _check_cross_scale(x, z):
                            f"{row:.3g}; rescale the inputs")
 
 
+def _check_distance_scale(x):
+    """Raise InvalidInput unless the column sums of |x| stay finite, and so
+    does n times the squared diameter of the rows' bounding box, which holds
+    every k-means center: that bounds any total of their squared distances."""
+    with np.errstate(over="ignore"):
+        width, mass = x.max(axis=0) - x.min(axis=0), np.abs(x).sum(axis=0).max()
+        bound = max(x.shape[0] * np.sum(width * width), mass)
+    if not bound <= np.finfo(np.float64).max / 2:
+        raise InvalidInput(f"the squared distances between the rows of x overflow float64: "
+                           f"a column spans up to {width.max():.3g} and sums to {mass:.3g} "
+                           f"in magnitude; rescale the inputs")
+
+
 def center_columns(x):
     """Subtract per-column means; returns (centered, means)."""
     x = as_matrix(x, "x")

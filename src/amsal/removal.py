@@ -14,9 +14,9 @@ the scale or offset of a column nor on an epoch budget. It descends with
 Nesterov momentum that restarts whenever a step goes uphill, which needs
 no estimate of the objective's curvature.
 
-Both erasers subtract the means stored at fit time and then apply an
-orthogonal projection, so the output stays in the original coordinate
-system.
+Both erasers store the orthonormal directions they remove and apply one
+operator, x -> (x - means)(I - R R^T), with the means stored at fit time,
+so the output stays in the original coordinate system.
 """
 
 from __future__ import annotations
@@ -47,61 +47,61 @@ INLP_ROUNDS = 10  # default cap on the INLP probe rounds
 
 @dataclass(frozen=True, eq=False)
 class Eraser:
-    """A fitted removal operator.
+    """A fitted removal operator: it maps x to (x - input_means)(I - R R^T),
+    where R = directions is d x r with orthonormal columns.
 
-    kind "sal": basis is d x (d - removed) with orthonormal columns and
-    the eraser maps x to (x - means) B B^T. kind "inlp": projection is a
-    d x d symmetric idempotent matrix and the eraser maps x to
-    (x - means) P.
+    kind "sal": R holds the r leading left singular directions of the
+    cross-covariance, and iterations is 0. kind "inlp": R holds the
+    directions the probes found in `iterations` rounds.
     """
 
     kind: str
     input_means: np.ndarray
-    basis: np.ndarray | None = None
-    removed: int | None = None
-    projection: np.ndarray | None = None
-    iterations: int | None = None
+    directions: np.ndarray
+    iterations: int
 
     def __post_init__(self):
         if self.kind not in (SAL, INLP):
             raise InvalidInput(f"unknown eraser kind {self.kind!r}")
-        matrix = self.basis if self.kind == SAL else self.projection
-        if matrix.shape[0] != self.dim:
-            raise InvalidInput(f"{self.dim} input means for {matrix.shape[0]} matrix rows")
-        if self.kind == INLP and matrix.shape != (self.dim, self.dim):
-            raise InvalidInput(f"nullspace projection must be square, got {matrix.shape}")
-        # a huge or non-finite entry makes a check value inf or nan, which fails
+        means, dirs = self.input_means, self.directions
+        if np.ndim(means) != 1 or not np.all(np.isfinite(means)):
+            raise InvalidInput(f"input means must be a finite vector, got shape "
+                               f"{np.shape(means)}")
+        if np.ndim(dirs) != 2 or dirs.shape[0] != means.shape[0]:
+            raise InvalidInput(f"{means.shape[0]} input means for directions of shape "
+                               f"{np.shape(dirs)}")
+        if not isinstance(self.iterations, (int, np.integer)) or not 0 <= self.iterations < 2**32:
+            raise InvalidInput(f"iterations must be a count below 2**32, got {self.iterations!r}")
+        if self.kind == SAL and self.iterations != 0:
+            raise InvalidInput(f"a spectral eraser has 0 iterations, got {self.iterations}")
+        # a huge or non-finite entry makes the check value inf or nan, which fails
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == SAL:
-                gram = _matmul(matrix.T, matrix)
-                if not np.abs(gram - np.eye(matrix.shape[1])).max() <= 1e-10:
-                    raise InvalidInput("spectral basis columns are not orthonormal")
-            else:
-                if not np.abs(matrix - matrix.T).max() <= 1e-10:
-                    raise InvalidInput("nullspace projection is not symmetric")
-                if not np.sqrt(np.sum((_matmul(matrix, matrix) - matrix) ** 2)) <= 1e-8:
-                    raise InvalidInput("nullspace projection is not idempotent")
+            gram = _matmul(dirs.T, dirs)
+            if not np.abs(gram - np.eye(dirs.shape[1])).max(initial=0.0) <= 1e-10:
+                raise InvalidInput("removed directions are not orthonormal")
 
     @property
     def dim(self):
         return self.input_means.shape[0]
 
     @property
-    def matrix(self):
-        """The d x d projection applied after centering."""
-        if self.kind == SAL:
-            return _matmul(self.basis, self.basis.T)
-        return self.projection
+    def removed(self):
+        """The number of removed directions."""
+        return self.directions.shape[1]
+
+
+def _project_out(x, directions):
+    """x - (x R) R^T: the rows of x with the span of R's orthonormal columns removed."""
+    return x - _matmul(_matmul(x, directions), directions.T)
 
 
 def fit_sal(x, records, pi, r="auto"):
     """Spectral eraser from the cross-covariance under the map pi.
 
-    r is the number of leading directions to drop; "auto" uses the
-    numerical rank of the cross-covariance, clamped to [1, d'] (the
-    protocol removed between 2 and 6 directions this way). The retained
-    basis is the orthogonal complement of the dropped directions, so
-    erased inputs keep their ambient dimension.
+    r is the number of leading left singular directions to remove, any
+    count below d; "auto" uses the numerical rank of the cross-covariance,
+    clamped to [1, d'] (the protocol removed between 2 and 6 directions
+    this way).
     """
     x = as_matrix(x, "x")
     n, d = x.shape
@@ -118,8 +118,8 @@ def fit_sal(x, records, pi, r="auto"):
         raise InvalidInput(f"r must be a positive count or 'auto', got {r!r}")
     if r >= d:
         raise InvalidInput(f"cannot remove r={r} of d={d} directions")
-    u_full, _ = _fix_signs(u_full)  # the svd sign convention, for the kept columns too
-    return Eraser(kind=SAL, input_means=means, basis=u_full[:, r:], removed=int(r))
+    directions, _ = _fix_signs(u_full[:, :r])
+    return Eraser(kind=SAL, input_means=means, directions=directions, iterations=0)
 
 
 def fit_inlp(x, z_labels, max_rounds):
@@ -127,9 +127,10 @@ def fit_inlp(x, z_labels, max_rounds):
 
     Each round fits a softmax probe on the projected data, stops once its
     accuracy is within INLP_STOP_SLACK of the majority baseline, and
-    otherwise adds the probe's discriminative directions to the removed
-    subspace. The composed projection is symmetric and idempotent by
-    construction (complement of an orthonormal basis).
+    otherwise adds the probe's discriminative directions, made orthogonal
+    to those already removed, to the removed set. The eraser stores that
+    set, so unless the round cap is hit or all d directions are removed,
+    erasing x gives exactly the inputs the last probe saw.
     """
     x = as_matrix(x, "x")
     y = np.asarray(z_labels)
@@ -153,31 +154,27 @@ def fit_inlp(x, z_labels, max_rounds):
         if acc <= majority + INLP_STOP_SLACK:
             break
         dirs = (w - w.mean(axis=0)).T  # (d, c); row shifts do not change the probe
-        dirs = dirs - removed @ (removed.T @ dirs)
+        for _ in range(2):  # one pass leaves them skew where the probe rescaled columns
+            dirs = dirs - removed @ (removed.T @ dirs)
         q, s, _ = np.linalg.svd(dirs, full_matrices=False)
         keep = s > max(1e-12, RANK_RTOL * s[0]) if s.size and s[0] > 0 else np.zeros(0, bool)
         if not keep.any():
             break
-        removed = np.hstack([removed, q[:, keep]])
-        if removed.shape[1] >= d:
-            removed = removed[:, :d]
-            x_proj = np.zeros_like(x_c)
-            rounds += 1
-            break
-        x_proj = x_c - (x_c @ removed) @ removed.T
+        removed = np.hstack([removed, q[:, keep]])[:, :d]
         rounds += 1
-    projection = np.eye(d) - removed @ removed.T
-    projection = (projection + projection.T) / 2.0
-    return Eraser(kind=INLP, input_means=means, projection=projection, iterations=rounds)
+        if removed.shape[1] == d:
+            break
+        x_proj = _project_out(x_c, removed)
+    return Eraser(kind=INLP, input_means=means, directions=removed, iterations=rounds)
 
 
 def apply_eraser(eraser, x):
-    """Center with the fit-time means and project; the output keeps the
-    ambient dimension."""
+    """Center with the fit-time means and remove the eraser's directions;
+    the output keeps the ambient dimension."""
     x = as_matrix(x, "x")
     if x.shape[1] != eraser.dim:
         raise InvalidInput(f"x has {x.shape[1]} columns, eraser expects {eraser.dim}")
-    return _matmul(x - eraser.input_means, eraser.matrix)
+    return _project_out(x - eraser.input_means, eraser.directions)
 
 
 def fit_logistic_probe(x, y, num_classes):

@@ -288,12 +288,13 @@ def test_criterion_8_numerical_suites():
         rng.standard_normal((3, 3)), np.zeros(3, dtype=int), np.full(3, 60, dtype=int)
     )
     sal = fit_sal(sal_x, sal_records, Assignment(rng.integers(0, 3, 60)), 2)
-    assert np.sqrt(np.sum((sal.matrix @ sal.matrix - sal.matrix) ** 2)) <= 1e-8
     labels = rng.integers(0, 2, 200)
     inlp_x = rng.standard_normal((200, 6))
     inlp_x[:, 0] += (2 * labels - 1) * 2.0
     inlp = fit_inlp(inlp_x, labels, 4)
-    assert np.sqrt(np.sum((inlp.projection @ inlp.projection - inlp.projection) ** 2)) <= 1e-8
+    for eraser in (sal, inlp):
+        projection = np.eye(6) - eraser.directions @ eraser.directions.T
+        assert np.sqrt(np.sum((projection @ projection - projection) ** 2)) <= 1e-8
 
     y_true, y_pred, groups = [], [], []
     for cls, group, tp, total in [(0, 1, 8, 10), (0, 0, 5, 10), (1, 1, 4, 10), (1, 0, 5, 10)]:

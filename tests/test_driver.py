@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 import weakref
 from unittest import mock
 
@@ -382,6 +383,22 @@ def test_kmeans_assign_peak_stays_under_twice_the_input():
         tracemalloc.stop()
     assert pi.satisfies(records)
     assert peak < 2 * x.nbytes  # an (n, k, d) distance broadcast alone is k times x
+
+
+def test_kmeans_refuses_inputs_whose_squared_distances_overflow():
+    """At 1e200 the squared distances overflow: a located error, not a
+    warning and a complaint about non-finite scores."""
+    rng = np.random.default_rng(14)
+    x = 1e200 * rng.standard_normal((40, 4))
+    records = GuardedRecords(1e200 * rng.standard_normal((2, 3)), [0, 0], [40, 40])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidInput, match="squared distances between the rows of x "
+                                               "overflow"):
+            kmeans_assign(x, records, AmsalConfig(rng_seed=0))
+        # values this large sum past float64 in the centers even at a spread of 0
+        with pytest.raises(InvalidInput, match="sums to inf"):
+            kmeans_assign(np.full((40, 4), 1e307), records, AmsalConfig(rng_seed=0))
 
 
 @pytest.mark.parametrize("n, k, d, order", [

@@ -46,9 +46,9 @@ def _valid_files(tmp_path):
     save_matrix(matrix, tmp_path / "m.bin", fmt=BIN)
     save_matrix(matrix, tmp_path / "m.csv", fmt=CSV)
     save_eraser(Eraser(kind="sal", input_means=rng.standard_normal(3),
-                       basis=np.eye(3)[:, :2], removed=1), tmp_path / "sal.bin")
+                       directions=np.eye(3)[:, 2:], iterations=0), tmp_path / "sal.bin")
     save_eraser(Eraser(kind="inlp", input_means=rng.standard_normal(3),
-                       projection=np.diag([1.0, 1.0, 0.0]), iterations=2), tmp_path / "inlp.bin")
+                       directions=np.eye(3)[:, 1:], iterations=2), tmp_path / "inlp.bin")
     amsl = (tmp_path / "m.bin").read_bytes()
     return {
         "amsl": ("m.bin", amsl, load_matrix),
@@ -111,6 +111,6 @@ def test_parser_fuzz_raises_only_located_errors(tmp_path, fmt, data):
     except (FormatError, InvalidInput):
         return
     if isinstance(loaded, Eraser):
-        assert np.all(np.isfinite(loaded.input_means)) and np.all(np.isfinite(loaded.matrix))
+        assert np.all(np.isfinite(loaded.input_means)) and np.all(np.isfinite(loaded.directions))
     elif load in (load_matrix, load_values):
         assert np.all(np.isfinite(loaded))

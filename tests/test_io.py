@@ -268,16 +268,27 @@ def _fitted_erasers():
 
 def test_eraser_round_trip(tmp_path):
     sal, inlp = _fitted_erasers()
-    save_eraser(sal, tmp_path / "sal.bin")
-    back = load_eraser(tmp_path / "sal.bin")
-    assert back.kind == "sal" and back.removed == sal.removed
-    np.testing.assert_array_equal(back.basis, sal.basis)
-    np.testing.assert_array_equal(back.input_means, sal.input_means)
+    for eraser in (sal, inlp):
+        save_eraser(eraser, tmp_path / "e.bin")
+        back = load_eraser(tmp_path / "e.bin")
+        assert (back.kind, back.iterations, back.removed) == (
+            eraser.kind, eraser.iterations, eraser.removed)
+        np.testing.assert_array_equal(back.directions, eraser.directions)
+        np.testing.assert_array_equal(back.input_means, eraser.input_means)
+        # the header, then one (1 + r) x d block: the means and the directions
+        assert (tmp_path / "e.bin").stat().st_size == 13 + 16 + 8 * (1 + eraser.removed) * 5
+    assert (sal.kind, sal.iterations, sal.removed) == ("sal", 0, 1)
 
-    save_eraser(inlp, tmp_path / "inlp.bin")
-    back = load_eraser(tmp_path / "inlp.bin")
-    assert back.kind == "inlp" and back.iterations == inlp.iterations
-    np.testing.assert_array_equal(back.projection, inlp.projection)
+
+def test_zero_round_inlp_eraser_round_trip(tmp_path):
+    _, inlp = _fitted_erasers()
+    eraser = Eraser(kind="inlp", input_means=inlp.input_means, directions=np.zeros((5, 0)),
+                    iterations=0)
+    save_eraser(eraser, tmp_path / "e.bin")
+    assert (tmp_path / "e.bin").stat().st_size == 13 + 16 + 8 * 5  # a 1 x 5 block
+    back = load_eraser(tmp_path / "e.bin")
+    assert (back.kind, back.iterations, back.directions.shape) == ("inlp", 0, (5, 0))
+    np.testing.assert_array_equal(back.input_means, inlp.input_means)
 
 
 def test_eraser_bad_magic(tmp_path):
@@ -286,45 +297,107 @@ def test_eraser_bad_magic(tmp_path):
         load_eraser(tmp_path / "x.bin")
 
 
-def test_eraser_file_rejects_trailing_bytes_and_mismatched_means(tmp_path):
+def test_eraser_file_of_version_1_is_refused(tmp_path):
+    """Version 1 stored the kept basis; read as removed directions it
+    would erase the wrong subspace."""
+    sal, _ = _fitted_erasers()
+    path = tmp_path / "sal.bin"
+    save_eraser(sal, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    with pytest.raises(FormatError, match="unsupported version 1 at byte 4$"):
+        load_eraser(path)
+
+
+def test_eraser_file_rejects_trailing_bytes_and_bad_blocks(tmp_path):
     sal, _ = _fitted_erasers()
     path = tmp_path / "sal.bin"
     save_eraser(sal, path)
     raw = path.read_bytes()
     path.write_bytes(raw + b"\x00" * 3)
-    with pytest.raises(FormatError, match=f"3 trailing bytes at byte {len(raw)}"):
+    with pytest.raises(FormatError, match=re.escape(f"payload size mismatch at byte 29 (file "
+                                                    f"{len(raw) + 3}, expected {len(raw)})")):
         load_eraser(path)
-    # a means block of 4 values in front of the 5-row basis
-    means = struct.pack("<QQ", 1, 4) + b"\x00" * 32
-    path.write_bytes(raw[:13] + means + raw[13 + 16 + 40:])
-    with pytest.raises(FormatError, match="byte 13 is 1x4, expected 1x5 for the block at byte 61"):
-        load_eraser(path)
-    path.write_bytes(raw[:13] + struct.pack("<QQ", 1, 0) + struct.pack("<QQ", 0, 0))
+    path.write_bytes(raw[:13] + struct.pack("<QQ", 1, 0))
     with pytest.raises(FormatError, match="empty 1x0 block at byte 13"):
+        load_eraser(path)
+    path.write_bytes(raw[:20])
+    with pytest.raises(FormatError, match="truncated block header at byte 13"):
+        load_eraser(path)
+    # the direction row doubled: a finite block the eraser refuses, named with the path
+    direction = struct.pack("<5d", *(2.0 * sal.directions[:, 0]))
+    path.write_bytes(raw[:13 + 16 + 40] + direction)
+    with pytest.raises(InvalidInput,
+                       match=re.escape(f"{path}: removed directions are not orthonormal")):
+        load_eraser(path)
+    path.write_bytes(raw[:9] + struct.pack("<I", 3) + raw[13:])  # a sal eraser with 3 rounds
+    with pytest.raises(InvalidInput,
+                       match=re.escape(f"{path}: a spectral eraser has 0 iterations, got 3")):
+        load_eraser(path)
+    path.write_bytes(raw[:8] + b"\x02" + raw[9:])
+    with pytest.raises(FormatError, match="unknown eraser kind 2 at byte 8"):
         load_eraser(path)
 
 
 def test_eraser_shapes_checked():
     sal, inlp = _fitted_erasers()
-    with pytest.raises(InvalidInput, match="4 input means for 5 matrix rows"):
-        Eraser(kind="sal", input_means=sal.input_means[:4], basis=sal.basis)
-    with pytest.raises(InvalidInput, match="4 input means for 5 matrix rows"):
-        Eraser(kind="inlp", input_means=inlp.input_means[:4], projection=inlp.projection)
-    with pytest.raises(InvalidInput, match="square"):
-        Eraser(kind="inlp", input_means=inlp.input_means, projection=inlp.projection[:, :4])
+    with pytest.raises(InvalidInput, match=re.escape("4 input means for directions of shape "
+                                                     "(5, 1)")):
+        Eraser(kind="sal", input_means=sal.input_means[:4], directions=sal.directions,
+               iterations=0)
+    with pytest.raises(InvalidInput, match="4 input means for directions of shape"):
+        Eraser(kind="inlp", input_means=inlp.input_means[:4], directions=inlp.directions,
+               iterations=inlp.iterations)
+    with pytest.raises(InvalidInput, match=re.escape("directions of shape (5,)")):
+        Eraser(kind="inlp", input_means=inlp.input_means, directions=inlp.directions[:, 0],
+               iterations=1)
+    with pytest.raises(InvalidInput, match=re.escape("finite vector, got shape (1, 5)")):
+        Eraser(kind="sal", input_means=sal.input_means[None], directions=sal.directions,
+               iterations=0)
+    for bad in (np.nan, np.inf):
+        means = sal.input_means.copy()
+        means[2] = bad
+        with pytest.raises(InvalidInput, match=re.escape("finite vector, got shape (5,)")):
+            Eraser(kind="sal", input_means=means, directions=sal.directions, iterations=0)
+    with pytest.raises(InvalidInput, match="unknown eraser kind 'pca'"):
+        Eraser(kind="pca", input_means=sal.input_means, directions=sal.directions, iterations=0)
+
+
+def test_eraser_states_that_contradict_themselves_are_refused():
+    sal, _ = _fitted_erasers()
+    means = sal.input_means
+    # a kept basis, or a projection, with no count next to it no longer fits the type
+    with pytest.raises(TypeError):
+        Eraser(kind="sal", input_means=means, basis=np.eye(5)[:, 1:])
+    with pytest.raises(TypeError):
+        Eraser(kind="inlp", input_means=means, basis=np.eye(5)[:, 1:])
+    with pytest.raises(TypeError):
+        Eraser(kind="sal", input_means=means, directions=sal.directions)
+    # the count of removed directions is read off the matrix, so it cannot disagree with it
+    with pytest.raises(TypeError):
+        Eraser(kind="sal", input_means=means, directions=sal.directions, iterations=0, removed=2)
+    assert sal.removed == sal.directions.shape[1] == 1
+    for iterations, match in ((-1, "count below 2\\*\\*32, got -1"),
+                              (2**32, "count below 2\\*\\*32"),
+                              (1.0, "count below 2\\*\\*32, got 1.0")):
+        with pytest.raises(InvalidInput, match=match):
+            Eraser(kind="inlp", input_means=means, directions=sal.directions,
+                   iterations=iterations)
+    with pytest.raises(InvalidInput, match="a spectral eraser has 0 iterations, got 2"):
+        Eraser(kind="sal", input_means=means, directions=sal.directions, iterations=2)
 
 
 def test_eraser_checks_reject_huge_and_non_finite_matrices():
-    # the checks must fail on an inf or nan check value, and without a warning
+    # the check must fail on an inf or nan check value, and without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for bad, first_failed in ((1e200, "idempotent"), (np.nan, "symmetric"),
-                                  (np.inf, "symmetric")):
-            diag = np.diag([1.0, 1.0, bad])
-            with pytest.raises(InvalidInput, match=f"not {first_failed}"):
-                Eraser(kind="inlp", input_means=np.zeros(3), projection=diag)
-            with pytest.raises(InvalidInput, match="not orthonormal"):
-                Eraser(kind="sal", input_means=np.zeros(3), basis=diag[:, 1:])
+        for bad in (1e200, np.nan, np.inf):
+            directions = np.eye(3)[:, 1:]
+            directions[0, 1] = bad
+            for kind, iterations in (("sal", 0), ("inlp", 1)):
+                with pytest.raises(InvalidInput, match="not orthonormal"):
+                    Eraser(kind=kind, input_means=np.zeros(3), directions=directions,
+                           iterations=iterations)
 
 
 def test_trace_file_layout(tmp_path):
@@ -413,12 +486,12 @@ def test_eraser_file_rejects_non_finite_blocks(tmp_path):
     for eraser in (sal, inlp):
         save_eraser(eraser, path)
         raw = path.read_bytes()
-        # means block at byte 13 holds 5 values; the matrix block follows at 13 + 16 + 40
-        for value_at, block_at in ((13 + 16 + 8, 13), (69 + 16 + 24, 69)):
+        # the block at byte 13 holds the 5 means, then a direction of 5 values
+        for value_at in (13 + 16 + 8, 13 + 16 + 40 + 24):
             for bad in (np.nan, np.inf):
                 path.write_bytes(raw[:value_at] + struct.pack("<d", bad) + raw[value_at + 8:])
-                with pytest.raises(FormatError, match=f"non-finite value in the block at byte "
-                                                      f"{block_at}$"):
+                with pytest.raises(FormatError, match="non-finite value in the block at byte "
+                                                      "13$"):
                     load_eraser(path)
 
 

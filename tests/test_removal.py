@@ -23,6 +23,17 @@ def _free_records(z, n):
     return GuardedRecords(z, np.zeros(m, dtype=int), np.full(m, n, dtype=int))
 
 
+def _projection(eraser):
+    """I - R R^T, the d x d matrix the eraser applies after centering."""
+    r = eraser.directions
+    return np.eye(eraser.dim) - r @ r.T
+
+
+def _kept_basis(eraser):
+    """An orthonormal basis of the complement of the removed directions."""
+    return np.linalg.svd(eraser.directions, full_matrices=True)[0][:, eraser.removed:]
+
+
 def _random_instance(rng, n=40, d=6, dp=3, m=3):
     x = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0)
     records = _free_records(rng.standard_normal((m, dp)), n)
@@ -92,18 +103,20 @@ def test_sal_preserves_retained_subspace():
     rng = np.random.default_rng(4)
     x, records, pi = _random_instance(rng)
     eraser = fit_sal(x, records, pi, 2)
-    probe = rng.standard_normal((5, eraser.basis.shape[1]))
-    inside = probe @ eraser.basis.T  # rows already in the retained subspace
-    np.testing.assert_allclose(inside @ eraser.matrix, inside, atol=1e-10)
+    kept = _kept_basis(eraser)
+    inside = rng.standard_normal((5, kept.shape[1])) @ kept.T  # rows in the retained subspace
+    np.testing.assert_allclose(apply_eraser(eraser, inside + eraser.input_means), inside,
+                               atol=1e-10)
 
 
 def test_sal_reduced_view():
     rng = np.random.default_rng(5)
     x, records, pi = _random_instance(rng)
     eraser = fit_sal(x, records, pi, 1)
-    reduced = (x - eraser.input_means) @ eraser.basis  # coordinates in the retained basis
+    kept = _kept_basis(eraser)
+    reduced = (x - eraser.input_means) @ kept  # coordinates in the retained basis
     assert reduced.shape == (x.shape[0], x.shape[1] - 1)
-    np.testing.assert_allclose(reduced @ eraser.basis.T, apply_eraser(eraser, x), atol=1e-12)
+    np.testing.assert_allclose(reduced @ kept.T, apply_eraser(eraser, x), atol=1e-12)
 
 
 def test_apply_idempotent_on_centered_fit():
@@ -114,7 +127,8 @@ def test_apply_idempotent_on_centered_fit():
     once = apply_eraser(eraser, x_c)
     twice = apply_eraser(eraser, once)
     assert np.sqrt(np.sum((twice - once) ** 2)) <= 1e-10
-    assert np.abs(eraser.matrix @ eraser.matrix - eraser.matrix).max() <= 1e-10
+    p = _projection(eraser)
+    assert np.abs(p @ p - p).max() <= 1e-10
 
 
 def test_apply_dimension_mismatch():
@@ -164,8 +178,8 @@ def test_inlp_zero_rounds_is_identity():
     rng = np.random.default_rng(11)
     x, y = _separable(rng, n=50, d=4)
     eraser = fit_inlp(x, y, max_rounds=0)
-    np.testing.assert_allclose(eraser.projection, np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(apply_eraser(eraser, x), x - x.mean(axis=0), atol=1e-12)
+    assert eraser.directions.shape == (4, 0) and eraser.iterations == eraser.removed == 0
+    np.testing.assert_array_equal(apply_eraser(eraser, x), x - x.mean(axis=0))
 
 
 def test_inlp_projection_idempotent():
@@ -173,9 +187,25 @@ def test_inlp_projection_idempotent():
     for _ in range(5):
         x, y = _separable(rng, n=120, d=6, gap=2.0)
         eraser = fit_inlp(x, y, max_rounds=4)
-        p = eraser.projection
+        r = eraser.directions
+        assert np.abs(r.T @ r - np.eye(eraser.removed)).max() <= 1e-10
+        p = _projection(eraser)
         assert np.sqrt(np.sum((p @ p - p) ** 2)) <= 1e-8
         np.testing.assert_allclose(p, p.T, atol=1e-10)
+
+
+def test_inlp_directions_stay_orthonormal_across_column_scales():
+    """The probe's standardization rescales its weights per column, so a
+    new direction can lie almost wholly in the removed span; INLP must
+    still hand the eraser orthonormal directions."""
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        y = rng.integers(0, 4, 120)
+        x = rng.standard_normal((120, 10))
+        x[:, :4] += 2.0 * (y[:, None] == np.arange(4))
+        x *= np.exp(rng.uniform(-6, 6, 10))
+        r = fit_inlp(x, y, max_rounds=10).directions
+        assert np.abs(r.T @ r - np.eye(r.shape[1])).max() <= 1e-10
 
 
 def test_sal_probe_near_chance_after_erasure():
@@ -326,6 +356,33 @@ def test_inlp_matches_reference_inlp():
         eraser = fit_inlp(x, y, max_rounds=d)
         projection, rounds = reference_inlp(x, y, d)
         assert eraser.iterations == rounds >= 1
-        assert np.abs(eraser.projection - projection).max() <= 2e-4
+        assert np.abs(_projection(eraser) - projection).max() <= 2e-4
         again = fit_inlp(x, y, max_rounds=d)
-        assert again.projection.tobytes() == eraser.projection.tobytes()
+        assert again.directions.tobytes() == eraser.directions.tobytes()
+
+
+def test_inlp_erasure_equals_the_last_probe_input(monkeypatch):
+    """Erasing x with the fitted eraser gives, bit for bit, the inputs the
+    last INLP probe saw, whenever fewer than d directions were removed."""
+    seen = []
+    probe = removal.fit_logistic_probe
+
+    def recording(x, y, num_classes):
+        seen.append(x.copy())
+        return probe(x, y, num_classes)
+
+    monkeypatch.setattr(removal, "fit_logistic_probe", recording)
+    rng = np.random.default_rng(17)
+    checked = 0
+    for n, d, c in ((80, 4, 2), (120, 6, 3), (200, 12, 2), (300, 8, 8), (150, 3, 3),
+                    (500, 32, 2), (60, 2, 4)):
+        y = rng.integers(0, c, n)
+        x = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d) + rng.uniform(-5, 5, d)
+        x[:, : min(c, d)] += 2.0 * (y[:, None] == np.arange(min(c, d)))
+        seen.clear()
+        eraser = fit_inlp(x, y, max_rounds=d)
+        if eraser.removed < d:
+            assert len(seen) == eraser.iterations + 1
+            assert apply_eraser(eraser, x).tobytes() == seen[-1].tobytes()
+            checked += 1
+    assert checked >= 5
