@@ -36,8 +36,8 @@ against a slack node whose potential absorbs the bound slack.
    reached. Complementary slackness holds between the duals and every
    optimal map, so the duals decide each tie: an input moves to a smaller
    record only along tight edges, found by a reachability search on one
-   tight graph of at most m + 1 nodes, whose record arcs come from one
-   m x m table of the largest input in record u tight at record v.
+   tight graph of at most m + 1 nodes. Its record arcs are those of the
+   repair's arc table, on the reduced costs c - phi, whose gain is 0.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
 optimality reasoning below is exact integer arithmetic on those costs,
@@ -228,27 +228,31 @@ def _checked_assignment(pi, records):
     return Assignment(pi)
 
 
-def _arc_table(c, pi):
-    """The arc table of the record graph under the map pi.
+def _arc_table(c, pi, rows=None):
+    """The arc table of the record graph under the map pi, over the
+    ascending inputs `rows` (all by default); the repair and the lex
+    refine both read it.
 
-    W[u, v] is the best gain c[i, v] - c[i, u] over the inputs i in record
-    u (-inf where u is empty and on the diagonal), and witness[u, v] the
-    smallest input that attains it (-1 where there is none). One stable
-    sort of pi lays the inputs out in record blocks, and a reduction over
-    each block gives both tables.
+    W[u, v] is the best gain c[i, v] - c[i, u] over those inputs i in
+    record u (-inf where there is none and on the diagonal), and
+    witness[u, v] the largest input that attains it (-1 where there is
+    none). One stable sort of pi lays the inputs out in record blocks, and
+    a reduction over each block gives both tables.
     """
-    n, m = c.shape
-    order = np.argsort(pi, kind="stable")
-    counts = np.bincount(pi, minlength=m)
+    m = c.shape[1]
+    rows = np.arange(c.shape[0]) if rows is None else rows
+    order = rows[np.argsort(pi[rows], kind="stable")]
+    blocks = pi[order]
+    counts = np.bincount(blocks, minlength=m)
     held = np.flatnonzero(counts)
     starts = (np.cumsum(counts) - counts)[held]
-    gains = c[order] - c[order, pi[order], None]
+    gains = c[order] - c[order, blocks, None]
     top = np.maximum.reduceat(gains, starts)
     attains = gains == np.repeat(top, counts[held], axis=0)
     W = np.full((m, m), -np.inf)
     witness = np.full((m, m), -1, dtype=np.int64)
     W[held] = top
-    witness[held] = np.minimum.reduceat(np.where(attains, order[:, None], n), starts)
+    witness[held] = np.maximum.reduceat(np.where(attains, order[:, None], -1), starts)
     np.fill_diagonal(W, -np.inf)
     np.fill_diagonal(witness, -1)
     return W, witness
@@ -257,25 +261,35 @@ def _arc_table(c, pi):
 def _move(c, pi, W, witness, i, v):
     """Reassign input i to record v and update its arc table W, witness:
     only the arcs out of i's old record that i witnessed are read again,
-    and row v is raised to i's gains where they are strictly larger."""
+    and row v takes i's gains where they are larger, or equal and i is
+    the larger input."""
     u = pi[i]
     pi[i] = v
     stale = np.flatnonzero(witness[u] == i)
     if stale.size:
-        members = np.flatnonzero(pi == u)
+        members = np.flatnonzero(pi == u)[::-1]  # the first maximum is the largest input
         if members.size:
             g = c[members[:, None], stale] - c[members, u, None]
-            best = g.argmax(axis=0)  # the first maximum: ties go to the smallest input
+            best = g.argmax(axis=0)
             W[u, stale] = g[best, np.arange(stale.size)]
             witness[u, stale] = members[best]
         else:
             W[u, stale] = -np.inf
             witness[u, stale] = -1
     g = c[i] - c[i, v]
-    up = g > W[v]
+    up = g >= W[v] + (witness[v] > i)  # integer gains: a tie goes to the larger input
     up[v] = False
     W[v, up] = g[up]
     witness[v, up] = i
+
+
+def _shift(c, pi, W, witness, path):
+    """Move one input along each record arc of the node path (the slack
+    node m has none), reading every witness before any input moves: a
+    move can raise the next arc's row."""
+    m = W.shape[0]
+    for i, v in [(witness[u, v], v) for u, v in zip(path, path[1:]) if u < m and v < m]:
+        _move(c, pi, W, witness, i, v)
 
 
 def _price_start(c, lower, upper, phi):
@@ -396,16 +410,12 @@ def _initial_optimum(c, pi, phi, lower, upper):
             unit = min(excess[path[0]], -excess[t])
             for u, v in arcs:
                 unit = min(unit, upper[u] - f[u] if v == m else f[v] - lower[v] if u == m else 1)
-            movers = []
             for u, v in arcs:
                 if v == m:
                     f[u] += unit
                 elif u == m:
                     f[v] -= unit
-                else:  # read every witness before any input moves
-                    movers.append((witness[u, v], v))
-            for i, v in movers:
-                _move(c, pi, W, witness, i, v)
+            _shift(c, pi, W, witness, path)
             excess[path[0]] -= unit
             excess[t] += unit
     return pi, p[:m] - p[m]
@@ -451,22 +461,21 @@ def _lex_refine(c, pi, phi, lower, upper):
     one arc each. An input already in its smallest tight record cannot
     move, and an input tight at one record only is never moved or used,
     so the search covers the inputs tight at two or more records. Their
-    arcs live in one m x m table: last[u, v] is the largest of them in u
-    tight at v (-1 for none; an entry up to i may be out of date, as those
-    inputs are spent), and u -> v is an arc of input i's search exactly
-    when last[u, v] > i.
+    arcs are read from the repair's arc table (`_arc_table`, kept current
+    by `_move`) over them on the reduced costs c - phi, whose gains are at
+    most 0 and are 0 exactly where an input is tight: where W[u, v] == 0
+    the witness is the largest input in u tight at v, and u -> v is an arc
+    of input i's search exactly when that input comes after i.
     """
-    m = c.shape[1]
+    n, m = c.shape
     reduced = c - phi
-    tight = reduced == reduced.max(axis=1, keepdims=True)
+    first_tight = reduced.argmax(axis=1)
+    tight = reduced == reduced[np.arange(n), first_tight, None]
     multi = np.flatnonzero(np.count_nonzero(tight, axis=1) > 1)
-    first_tight = tight.argmax(axis=1)
     if not np.any(pi[multi] != first_tight[multi]):
         return pi
-    rows, cols = np.nonzero(tight[multi])
-    rows = multi[rows]
-    last = np.full((m, m), -1, dtype=np.int64)
-    np.maximum.at(last, (pi[rows], cols), rows)
+    W, witness = _arc_table(reduced, pi, multi)
+    live = np.where(W == 0, witness, -1)  # the witnesses of the tight arcs
     counts = np.bincount(pi, minlength=m)
     at_slack = phi == 0
     arcs = np.zeros((m + 1, m + 1), dtype=bool)  # arcs[u, v]: u -> v; node m is the slack
@@ -474,7 +483,7 @@ def _lex_refine(c, pi, phi, lower, upper):
         a = int(pi[i])
         if a == first_tight[i]:
             continue
-        np.greater(last, i, out=arcs[:m, :m])
+        np.greater(live, i, out=arcs[:m, :m])
         arcs[:m, m] = at_slack & (counts < upper)
         arcs[m, :m] = at_slack & (counts > lower)
         came = _search(arcs.T.tolist(), a)  # node -> the next node on a path to a
@@ -482,18 +491,11 @@ def _lex_refine(c, pi, phi, lower, upper):
         if b is None:
             continue
         path = _walk(came, b)
-        # read every arc's input before any moves: a move raises the next arc's row
-        movers = [(int(last[u, v]), v) for u, v in zip(path, path[1:]) if u < m and v < m]
-        for k, v in movers + [(i, b)]:
-            u = pi[k]
-            pi[k] = v
-            counts[u] -= 1
-            counts[v] += 1
-            # row u: rescan where k was the largest, among the inputs after i; row v: raise
-            stale = np.flatnonzero(last[u] == k)
-            later = np.arange(i + 1, k)[pi[i + 1:k] == u, None]
-            last[u, stale] = np.where(tight[later, stale], later, -1).max(axis=0, initial=-1)
-            np.maximum(last[v], np.where(tight[k], k, -1), out=last[v])
+        _shift(reduced, pi, W, witness, path)
+        _move(reduced, pi, W, witness, i, b)
+        counts = np.bincount(pi, minlength=m)
+        rows = [u for u in path if u < m]  # the moves changed only these rows
+        live[rows] = np.where(W[rows] == 0, witness[rows], -1)
     return pi
 
 

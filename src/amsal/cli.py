@@ -52,15 +52,11 @@ def _cmd_synth(args):
     return 0
 
 
-def _records(args, n):
-    slack = PRIOR_SLACK if args.slack is None else args.slack
-    return aio.guarded_records(aio.load_matrix(args.records), n, args.priors, slack)
-
-
 def _cmd_align(args):
     x = aio.load_matrix(args.x)
     n = x.shape[0]
-    records = _records(args, n)
+    slack = PRIOR_SLACK if args.slack is None else args.slack
+    records = aio.guarded_records(aio.load_matrix(args.records), n, args.priors, slack)
     truth = aio.load_assignment(args.truth, n, records.m) if args.truth else None
     seed_labels = aio.load_seed_labels(args.labels, n, records.m) if args.labels else None
     cfg = AmsalConfig(
@@ -79,15 +75,16 @@ def _cmd_align(args):
 
 def _cmd_erase(args):
     other_method = {
-        "inlp": (("--records", args.records), ("--priors", args.priors),
-                 ("--slack", args.slack), ("--rank", args.rank)),
+        "inlp": (("--records", args.records), ("--rank", args.rank)),
         "sal": (("--max-rounds", args.max_rounds),),
     }[args.method]
     for flag, value in other_method:
         if value is not None:
             raise InvalidInput(f"{flag} does not apply to --method {args.method}")
     x = aio.load_matrix(args.x)
-    records = _records(args, x.shape[0]) if args.records else None
+    # SAL reads only the record rows, so their count bounds are the defaults
+    records = (aio.guarded_records(aio.load_matrix(args.records), x.shape[0], None, PRIOR_SLACK)
+               if args.records else None)
     pi = aio.load_assignment(args.assignment, x.shape[0], records.m if records else None)
     given = {key: value for key, value in (("rank", args.rank), ("max_rounds", args.max_rounds))
              if value is not None}
@@ -112,14 +109,6 @@ def _cmd_pipeline(args):
     report = aio.run_pipeline(cfg)
     print(aio.format_report(report), end="")
     return 0
-
-
-def _add_bounds_args(p):
-    p.add_argument("--priors", type=float, nargs="*", default=None,
-                   help="record priors in records-file row order (default: uniform; "
-                        "synth writes the matching values to priors.csv)")
-    p.add_argument("--slack", type=float, default=None,
-                   help=f"fractional slack around the prior counts (default {PRIOR_SLACK})")
 
 
 def build_parser():
@@ -147,7 +136,11 @@ def build_parser():
     p = sub.add_parser("align", help="recover an input-to-record assignment")
     p.add_argument("--x", required=True)
     p.add_argument("--records", required=True)
-    _add_bounds_args(p)
+    p.add_argument("--priors", type=float, nargs="*", default=None,
+                   help="record priors in records-file row order (default: uniform; "
+                        "synth writes the matching values to priors.csv)")
+    p.add_argument("--slack", type=float, default=None,
+                   help=f"fractional slack around the prior counts (default {PRIOR_SLACK})")
     p.add_argument("--seeds", type=int, default=AmsalConfig.num_seeds)
     p.add_argument("--iterations", type=int, default=AmsalConfig.max_iterations)
     p.add_argument("--rng-seed", type=int, default=AmsalConfig.rng_seed)
@@ -163,7 +156,6 @@ def build_parser():
     p.add_argument("--assignment", required=True)
     p.add_argument("--method", choices=("sal", "inlp"), default="sal")
     p.add_argument("--records", default=None, help="required for sal")
-    _add_bounds_args(p)
     p.add_argument("--rank", type=aio._rank, default=None,
                    help="directions to drop (sal; default auto)")
     p.add_argument("--max-rounds", type=int, default=None,

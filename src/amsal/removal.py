@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import (RANK_RTOL, _check_cross_scale, _fix_signs, _gram, _matmul, _rank,
+from .linalg import (_check_cross_scale, _fix_signs, _gram, _matmul, _rank,
                      _top_eigenvalue_bound, as_matrix, center_columns, cross_covariance)
 
 SAL = "sal"
@@ -154,10 +154,11 @@ def fit_inlp(x, z_labels, max_rounds):
         if acc <= majority + INLP_STOP_SLACK:
             break
         dirs = (w - w.mean(axis=0)).T  # (d, c); row shifts do not change the probe
+        floor = 1e-6 * np.linalg.norm(dirs)  # less than this outside the removed span is rounding
         for _ in range(2):  # one pass leaves them skew where the probe rescaled columns
             dirs = dirs - removed @ (removed.T @ dirs)
         q, s, _ = np.linalg.svd(dirs, full_matrices=False)
-        keep = s > max(1e-12, RANK_RTOL * s[0]) if s.size and s[0] > 0 else np.zeros(0, bool)
+        keep = s > floor
         if not keep.any():
             break
         removed = np.hstack([removed, q[:, keep]])[:, :d]

@@ -300,20 +300,23 @@ def test_move_gains_arc_table_matches_dense_maximum():
         if trial % 2:
             pi[pi == m - 1] = 0  # an empty last record
         W, witness = amsal.assignment._arc_table(c, pi)
-        np.testing.assert_array_equal(W, _dense_arcs(c, pi))
-        for u, v in zip(*np.nonzero(np.isfinite(W))):
-            members = np.flatnonzero(pi == u)
-            tied = members[c[members, v] - c[members, u] == W[u, v]]
-            assert witness[u, v] == tied[0]  # ties go to the smallest index
+        _assert_arc_table(c, pi, W, witness)
         for _ in range(2 * n):
             i, v = int(rng.integers(n)), int(rng.integers(m))
             if pi[i] != v:
                 amsal.assignment._move(c, pi, W, witness, i, v)
-            np.testing.assert_array_equal(W, _dense_arcs(c, pi))
-            for u, v in zip(*np.nonzero(np.isfinite(W))):
-                k = witness[u, v]
-                assert pi[k] == u and c[k, v] - c[k, u] == W[u, v]
-            assert np.all(witness[~np.isfinite(W)] == -1)
+            _assert_arc_table(c, pi, W, witness)
+
+
+def _assert_arc_table(c, pi, W, witness):
+    """W holds the dense best gains, and each witness is the largest input
+    that attains its gain (-1 where there is no arc)."""
+    np.testing.assert_array_equal(W, _dense_arcs(c, pi))
+    for u, v in zip(*np.nonzero(np.isfinite(W))):
+        members = np.flatnonzero(pi == u)
+        tied = members[c[members, v] - c[members, u] == W[u, v]]
+        assert witness[u, v] == tied[-1]  # ties go to the largest index
+    assert np.all(witness[~np.isfinite(W)] == -1)
 
 
 @st.composite

@@ -59,7 +59,7 @@ def test_align_and_erase_cli(tmp_path, capsys):
     erase_dir = tmp_path / "erase"
     rc = main([
         "erase", "--x", str(out / "x.bin"), "--records", str(out / "z_records.bin"),
-        "--priors", "0.7", "0.3", "--assignment", str(align_dir / "assignment.csv"),
+        "--assignment", str(align_dir / "assignment.csv"),
         "--method", "sal", "--out", str(erase_dir),
     ])
     assert rc == 0
@@ -318,8 +318,7 @@ def test_erase_inlp_refuses_sal_only_flags(tmp_path, capsys):
         base = ["erase", "--x", x, "--assignment", str(out / "truth.csv"),
                 "--out", str(tmp_path / "e")]
         for method, flag, extra in (
-            ("inlp", "--records", [records]), ("inlp", "--priors", ["0.7", "0.3"]),
-            ("inlp", "--priors", []), ("inlp", "--slack", ["0.5"]), ("inlp", "--rank", ["2"]),
+            ("inlp", "--records", [records]), ("inlp", "--rank", ["2"]),
             ("inlp", "--rank", ["auto"]),
             ("sal", "--max-rounds", ["3"]),
         ):
@@ -329,7 +328,24 @@ def test_erase_inlp_refuses_sal_only_flags(tmp_path, capsys):
             assert f"InvalidInput: {flag} does not apply to --method {method}" in err
     assert not (tmp_path / "e").exists()
     assert main(base + ["--method", "inlp"]) == 0
-    assert main(base + ["--method", "sal", "--records", records, "--slack", "0.3"]) == 0
+    assert main(base + ["--method", "sal", "--records", records]) == 0
+
+
+@pytest.mark.parametrize("method", ["sal", "inlp"])
+@pytest.mark.parametrize("flag, values", [("--priors", ["0.7", "0.3"]), ("--slack", ["0.3"])])
+def test_erase_refuses_count_bound_flags(tmp_path, capsys, method, flag, values):
+    # no eraser reads count bounds, so erase takes no priors or slack for them
+    out = _synth(tmp_path, n=60, seed=5)
+    argv = ["erase", "--x", str(out / "x.bin"), "--assignment", str(out / "truth.csv"),
+            "--method", method, "--out", str(tmp_path / "e"), flag, *values]
+    if method == "sal":
+        argv += ["--records", str(out / "z_records.bin")]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {' '.join(values)}" in err and "Traceback" not in err
+    assert not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("method, bad_row, message", [
@@ -347,7 +363,7 @@ def test_erase_bad_assignment_exits_2_naming_file_and_row(tmp_path, capsys, meth
     argv = ["erase", "--x", str(data / "x.bin"), "--assignment", str(pi),
             "--method", method, "--out", str(tmp_path / "e")]
     if method == "sal":
-        argv += ["--records", str(data / "z_records.bin"), "--priors", "0.7", "0.3"]
+        argv += ["--records", str(data / "z_records.bin")]
     assert main(argv) == 2  # main() returning at all means no traceback escaped
     err = capsys.readouterr().err
     assert f"InvalidInput: {pi}: {message}" in err

@@ -278,9 +278,17 @@ def test_warm_started_a_steps_repair_less_and_change_nothing():
     records, truth = as_records(data, slack=0.2)
 
     def counted(solve):
+        # the lex refine moves inputs through _move too: count only the
+        # moves made while the bound repair runs
         moves = mock.Mock(wraps=amsal.assignment._move)
-        repairs = mock.Mock(wraps=amsal.assignment._initial_optimum)
-        with mock.patch.multiple(amsal.assignment, _move=moves, _initial_optimum=repairs), \
+        repair = amsal.assignment._initial_optimum
+
+        def counted_repair(*args):
+            with mock.patch.object(amsal.assignment, "_move", moves):
+                return repair(*args)
+
+        repairs = mock.Mock(wraps=counted_repair)
+        with mock.patch.object(amsal.assignment, "_initial_optimum", repairs), \
                 mock.patch("amsal.driver.solve_assignment", solve):
             result = run_amsal(data.x, records, AmsalConfig(rng_seed=0), truth=truth)
         return result, moves.call_count, repairs.call_count

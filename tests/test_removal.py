@@ -194,16 +194,35 @@ def test_inlp_projection_idempotent():
         np.testing.assert_allclose(p, p.T, atol=1e-10)
 
 
+def _random_scaled_instance(seed, trial):
+    """Trial `trial` of a stream of INLP instances: n 30-400, d 2-40, 2-8
+    classes, class signal on the first min(c, d) columns and column scales
+    e^U(-12, 12)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trial + 1):
+        n, d, c = int(rng.integers(30, 401)), int(rng.integers(2, 41)), int(rng.integers(2, 9))
+        y = rng.integers(0, c, n)
+        x = rng.standard_normal((n, d))
+        x[:, :min(c, d)] += 2.0 * (y[:, None] == np.arange(min(c, d)))
+        x *= np.exp(rng.uniform(-12, 12, d))
+    return x, y
+
+
 def test_inlp_directions_stay_orthonormal_across_column_scales():
     """The probe's standardization rescales its weights per column, so a
     new direction can lie almost wholly in the removed span; INLP must
     still hand the eraser orthonormal directions."""
     rng = np.random.default_rng(18)
+    cases = []
     for _ in range(10):
         y = rng.integers(0, 4, 120)
         x = rng.standard_normal((120, 10))
         x[:, :4] += 2.0 * (y[:, None] == np.arange(4))
         x *= np.exp(rng.uniform(-6, 6, 10))
+        cases.append((x, y))
+    # at scales e^+-12: n 286, d 14, 7 classes and n 162, d 13, 8 classes
+    cases += [_random_scaled_instance(1, 17), _random_scaled_instance(3, 132)]
+    for x, y in cases:
         r = fit_inlp(x, y, max_rounds=10).directions
         assert np.abs(r.T @ r - np.eye(r.shape[1])).max() <= 1e-10
 
