@@ -53,20 +53,12 @@ def _cmd_synth(args):
 
 
 def _cmd_align(args):
-    x = aio.load_matrix(args.x)
-    n = x.shape[0]
-    slack = PRIOR_SLACK if args.slack is None else args.slack
-    records = aio.guarded_records(aio.load_matrix(args.records), n, args.priors, slack)
-    truth = aio.load_assignment(args.truth, n, records.m) if args.truth else None
-    seed_labels = aio.load_seed_labels(args.labels, n, records.m) if args.labels else None
-    cfg = AmsalConfig(
-        max_iterations=args.iterations,
-        num_seeds=args.seeds,
-        score_k=args.k,
-        seed_labels=seed_labels,
-        rng_seed=args.rng_seed,
-    )
-    result = aio.align(x, records, cfg, args.out, truth)
+    cfg = aio.PipelineConfig(x=args.x, records=args.records, output_dir=args.out,
+                             priors=tuple(args.priors), slack=args.slack, truth=args.truth,
+                             max_iterations=args.iterations, num_seeds=args.seeds,
+                             rng_seed=args.rng_seed, score_k=args.k, seed_labels=args.labels)
+    x, records, amsal_cfg, truth = aio.load_align_inputs(cfg)
+    result = aio.align(x, records, amsal_cfg, args.out, truth)
     print(f"objective = {result.objective!r} (seed {result.seed})")
     if truth is not None:
         print(f"alignment_accuracy = {alignment_accuracy(result.assignment, truth)!r}")
@@ -136,18 +128,18 @@ def build_parser():
     p = sub.add_parser("align", help="recover an input-to-record assignment")
     p.add_argument("--x", required=True)
     p.add_argument("--records", required=True)
-    p.add_argument("--priors", type=float, nargs="*", default=None,
+    p.add_argument("--priors", type=float, nargs="*", default=(),
                    help="record priors in records-file row order (default: uniform; "
                         "synth writes the matching values to priors.csv)")
-    p.add_argument("--slack", type=float, default=None,
-                   help=f"fractional slack around the prior counts (default {PRIOR_SLACK})")
+    p.add_argument("--slack", type=float, default=PRIOR_SLACK,
+                   help="fractional slack around the prior counts (default %(default)s)")
     p.add_argument("--seeds", type=int, default=AmsalConfig.num_seeds)
     p.add_argument("--iterations", type=int, default=AmsalConfig.max_iterations)
     p.add_argument("--rng-seed", type=int, default=AmsalConfig.rng_seed)
     p.add_argument("--k", type=aio._score_k, default=AmsalConfig.score_k,
                    help="projected scoring dimensions (default %(default)s)")
-    p.add_argument("--truth", default=None)
-    p.add_argument("--labels", default=None, help="seed pairs for partial selection")
+    p.add_argument("--truth", default="")
+    p.add_argument("--labels", default="", help="seed pairs for partial selection")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_align)
 

@@ -1,10 +1,11 @@
 """On-disk formats and the align -> erase -> evaluate stages.
 
 Each stage has one implementation, shared by the CLI subcommands and
-`run_pipeline`: `guarded_records` turns priors into count-bounded
-records, `align` runs the alternating search and writes assignment.csv
-and trace.csv, `erase` fits and applies a SAL or INLP eraser and writes
-eraser.bin and x_erased.<fmt>, and `evaluate` scores predictions.
+`run_pipeline`: `load_align_inputs` reads x, the count-bounded records,
+the `AmsalConfig` and the truth map or None from a `PipelineConfig`,
+`align` runs the search and writes assignment.csv and trace.csv, `erase`
+fits and applies a SAL or INLP eraser and writes eraser.bin and
+x_erased.<fmt>, and `evaluate` scores predictions.
 
 Two matrix formats: CSV for interchange (shortest round-trip float
 printing, optional header row) and a raw binary format for speed and
@@ -211,8 +212,9 @@ def load_assignment(path, n=None, m=None):
     """Record ids, one per line. With n given the map must cover exactly
     n inputs, and with m its ids must lie in [0, m); errors name the path
     and the first bad row."""
+    labels = load_labels(path)  # its errors name the path already
     try:
-        pi = Assignment(load_labels(path))
+        pi = Assignment(labels)
         if n is not None:
             _as_index_map(pi, n, m)
     except InvalidInput as exc:
@@ -378,7 +380,7 @@ _PARSERS = {
 class PipelineConfig:
     """Parsed pipeline settings, one field per config key. The fields
     without a default are required; a seed_labels file turns on partial
-    selection (see AmsalConfig)."""
+    selection (see AmsalConfig). Bad or ignored settings are refused."""
 
     x: str
     records: str
@@ -391,11 +393,25 @@ class PipelineConfig:
     score_k: int | str = AmsalConfig.score_k
     seed_labels: str = ""
     removal: str = SAL
-    removal_rank: int | str = "auto"
-    inlp_rounds: int = INLP_ROUNDS
+    removal_rank: int | str | None = None  # sal only; unset is fit_sal's "auto"
+    inlp_rounds: int | None = None  # inlp only; unset is INLP_ROUNDS
     y: str = ""
     y_kind: str = "none"
     truth: str = ""
+
+    def __post_init__(self):
+        if self.removal not in (SAL, INLP):
+            raise InvalidInput(f"removal must be 'sal' or 'inlp', got {self.removal!r}")
+        for key, other in (("removal_rank", INLP), ("inlp_rounds", SAL)):
+            if self.removal == other and getattr(self, key) is not None:
+                raise InvalidInput(f"{key} does not apply to removal = {other}")
+        if self.y_kind not in ("classification", "regression", "none"):
+            raise InvalidInput("y_kind must be classification, regression or none")
+        if self.y_kind != "none" and not self.y:
+            raise InvalidInput(f"y_kind={self.y_kind} requires a y file")
+        if self.y_kind == "none" and self.y:
+            raise InvalidInput(f"y = {self.y} is given but y_kind = none would ignore it; "
+                               "set y_kind to classification or regression")
 
     @classmethod
     def from_file(cls, path):
@@ -440,21 +456,6 @@ class PipelineConfig:
                 raise FormatError(f"{source}: bad field value for {key!r}: {exc}") from None
         return cls(**parsed)
 
-    def validate(self):
-        if self.removal not in (SAL, INLP):
-            raise InvalidInput(f"removal must be 'sal' or 'inlp', got {self.removal!r}")
-        if self.y_kind not in ("classification", "regression", "none"):
-            raise InvalidInput("y_kind must be classification, regression or none")
-        if self.y_kind != "none" and not self.y:
-            raise InvalidInput(f"y_kind={self.y_kind} requires a y file")
-        if self.y_kind == "none" and self.y:
-            raise InvalidInput(f"y = {self.y} is given but y_kind = none would ignore it; "
-                               "set y_kind to classification or regression")
-        for key in ("x", "records", "seed_labels", "y", "truth"):
-            path = getattr(self, key)
-            if path and not Path(path).exists():
-                raise InvalidInput(f"{key} file not found: {path}")
-
 
 def guarded_records(z, n, priors, slack):
     """Records z with count bounds for n inputs from per-record priors
@@ -467,6 +468,19 @@ def guarded_records(z, n, priors, slack):
         raise InvalidInput(f"{priors.size} priors for {m} records")
     lower, upper = bounds_from_priors(priors, n, slack)
     return GuardedRecords(z, lower, upper)
+
+
+def load_align_inputs(cfg):
+    """(x, records bounded by cfg.priors and cfg.slack, AmsalConfig, truth
+    map or None), read and checked from the files cfg names."""
+    x = load_matrix(cfg.x)
+    n = x.shape[0]
+    records = guarded_records(load_matrix(cfg.records), n, cfg.priors, cfg.slack)
+    truth = load_assignment(cfg.truth, n, records.m) if cfg.truth else None
+    seed_labels = load_seed_labels(cfg.seed_labels, n, records.m) if cfg.seed_labels else None
+    amsal_cfg = AmsalConfig(max_iterations=cfg.max_iterations, num_seeds=cfg.num_seeds,
+                            score_k=cfg.score_k, seed_labels=seed_labels, rng_seed=cfg.rng_seed)
+    return x, records, amsal_cfg, truth
 
 
 def align(x, records, cfg, out, truth=None):
@@ -521,43 +535,36 @@ def evaluate(task, y_true, y_pred, groups, alignment_accuracy=None):
 def run_pipeline(cfg):
     """align -> erase -> eval in one deterministic pass.
 
-    Writes assignment.csv, eraser.bin, x_erased.bin, trace.csv and
-    report.txt under cfg.output_dir and returns the EvalReport. All
-    randomness flows from cfg.rng_seed, so reruns are byte identical.
-    The task predictions are in-sample: for classification, the ridge
-    softmax probe of `fit_logistic_probe` (standardized features, trained
-    to a gradient tolerance) on the erased inputs; for regression, least
-    squares with an intercept.
+    Reads every input file, then writes assignment.csv, eraser.bin,
+    x_erased.bin, trace.csv and report.txt under cfg.output_dir and
+    returns the EvalReport. All randomness flows from cfg.rng_seed, so
+    reruns are byte identical. The task predictions are in-sample: for
+    classification, the ridge softmax probe of `fit_logistic_probe`
+    (standardized features, trained to a gradient tolerance) on the
+    erased inputs; for regression, least squares with an intercept.
     """
-    cfg.validate()
-    x = load_matrix(cfg.x)
-    n = x.shape[0]
-    records = guarded_records(load_matrix(cfg.records), n, cfg.priors, cfg.slack)
-    truth = load_assignment(cfg.truth, n, records.m) if cfg.truth else None
-    seed_labels = load_seed_labels(cfg.seed_labels, n, records.m) if cfg.seed_labels else None
-    amsal_cfg = AmsalConfig(
-        max_iterations=cfg.max_iterations,
-        num_seeds=cfg.num_seeds,
-        score_k=cfg.score_k,
-        seed_labels=seed_labels,
-        rng_seed=cfg.rng_seed,
-    )
+    x, records, amsal_cfg, truth = load_align_inputs(cfg)
+    if cfg.y_kind != "none":
+        y = load_labels(cfg.y) if cfg.y_kind == "classification" else load_values(cfg.y)
+        if y.size != len(x):
+            raise InvalidInput(f"{cfg.y}: {y.size} values for the {len(x)} rows of x")
+        if cfg.y_kind == "classification":
+            classes, y = np.unique(y, return_inverse=True)
+            if classes.size < 2:
+                raise InvalidInput(f"{cfg.y}: every label is {classes[0]}; need 2 classes or more")
     result = align(x, records, amsal_cfg, cfg.output_dir, truth)
-    erased = erase(x, result.assignment, cfg.removal, cfg.output_dir, BIN,
-                   records=records, rank=cfg.removal_rank, max_rounds=cfg.inlp_rounds)
+    given = (("rank", cfg.removal_rank), ("max_rounds", cfg.inlp_rounds))
+    erased = erase(x, result.assignment, cfg.removal, cfg.output_dir, BIN, records=records,
+                   **{key: value for key, value in given if value is not None})
 
     align_acc = alignment_accuracy(result.assignment, truth) if truth is not None else None
     report = EvalReport(alignment_accuracy=align_acc)
     if cfg.y_kind != "none":
-        y = load_labels(cfg.y) if cfg.y_kind == "classification" else load_values(cfg.y)
-        if y.size != n:
-            raise InvalidInput(f"{cfg.y}: {y.size} values for the {n} rows of x")
         if cfg.y_kind == "classification":
-            classes, y = np.unique(y, return_inverse=True)
             w, b = fit_logistic_probe(erased, y, classes.size)
             y_pred = (erased @ w.T + b).argmax(axis=1)
         else:
-            design = np.hstack([erased, np.ones((n, 1))])
+            design = np.hstack([erased, np.ones((len(x), 1))])
             coef, *_ = np.linalg.lstsq(design, y, rcond=None)
             y_pred = design @ coef
         groups = truth.map if truth is not None else result.assignment.map

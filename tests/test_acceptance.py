@@ -331,7 +331,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
             "slack": "0.2", "max_iterations": "100", "num_seeds": "3",
             "rng_seed": "0", "score_k": "full",
             "seed_labels": "", "removal": "sal", "removal_rank": "auto",
-            "inlp_rounds": "10", "y": "", "y_kind": "none",
+            "y": "", "y_kind": "none",
         }
         run_pipeline(PipelineConfig.from_values(values))
         outputs.append({

@@ -267,7 +267,40 @@ def test_pipeline_y_length_mismatch_exit_2(tmp_path, capsys):
     (tmp_path / "y.csv").write_text("0\n1\n" * 10)
     rc = main(["pipeline", "--config", str(cfg)])
     assert rc == 2
-    assert "20 values for the 150 rows of x" in capsys.readouterr().err
+    assert f"{tmp_path / 'y.csv'}: 20 values for the 150 rows of x" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1\n" * 150, "every label is 1; need 2 classes or more"),
+    ("0\n1\n0.5\n" + "1\n" * 147, "line 3: not an integer"),
+], ids=["one-class", "not-an-integer"])
+def test_pipeline_unusable_y_exits_2_before_any_output(tmp_path, capsys, text, message):
+    cfg = _pipeline_cfg(tmp_path, "run")
+    (tmp_path / "y.csv").write_text(text)
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'y.csv'}: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, flag", [("truth", "--truth"), ("seed_labels", "--labels")])
+def test_missing_truth_or_seed_file_same_error_from_align_and_pipeline(tmp_path, capsys,
+                                                                        key, flag):
+    data = _synth(tmp_path, n=60, seed=4)
+    x, records = str(data / "x.bin"), str(data / "z_records.bin")
+    missing = str(tmp_path / "missing.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"x = {x}\nrecords = {records}\n{key} = {missing}\n"
+                   f"output_dir = {tmp_path / 'pipe'}\n")
+    errors = []
+    for argv in (["align", "--x", x, "--records", records, flag, missing,
+                  "--out", str(tmp_path / "cli")],
+                 ["pipeline", "--config", str(cfg)]):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"error: InvalidInput: {missing}: No such file or directory\n"
+    assert not (tmp_path / "cli").exists() and not (tmp_path / "pipe").exists()
 
 
 def _unreadable_input_argv(tmp_path, bad):

@@ -33,12 +33,6 @@ TOKENS = [b"\xff\xfe", b"\xc3", b"nan", b"inf", b"-1e999", b"9" * 20, b",", b"\n
 SPECIAL = [struct.pack("<d", v) for v in (np.nan, np.inf, -np.inf)]
 
 
-def _load_config(path):
-    cfg = PipelineConfig.from_file(path)
-    cfg.validate()
-    return cfg
-
-
 def _valid_files(tmp_path):
     """(file name, valid bytes, loader) for each parser."""
     rng = np.random.default_rng(0)
@@ -61,7 +55,7 @@ def _valid_files(tmp_path):
         "seed-pairs": ("s.csv", b"0,1\n2,0\n", load_seed_labels),
         "config": ("c.cfg", b"x = x.bin\nrecords = z.bin\noutput_dir = out\n"
                             b"priors = 0.7, 0.3\nscore_k = 2\n",
-                   _load_config),
+                   PipelineConfig.from_file),
     }
 
 

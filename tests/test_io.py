@@ -28,6 +28,7 @@ from amsal.io import (
     load_seed_labels,
     load_values,
     output_dir,
+    run_pipeline,
     save_assignment,
     save_eraser,
     save_matrix,
@@ -36,7 +37,6 @@ from amsal.io import (
 )
 from amsal.assignment import PRIOR_SLACK
 from amsal.driver import AmsalConfig, AmsalTrace, TraceRow
-from amsal.removal import INLP_ROUNDS
 
 
 def test_bin_round_trip_bit_exact(tmp_path):
@@ -449,29 +449,54 @@ def test_pipeline_config_validation(tmp_path):
     for name in ("x.bin", "z.bin"):
         save_matrix(np.eye(2), tmp_path / name)
     base = dict(x=str(tmp_path / "x.bin"), records=str(tmp_path / "z.bin"),
-                output_dir=str(tmp_path))
+                output_dir=str(tmp_path / "out"))
     values = {**{k: "" for k in ("priors", "seed_labels", "y", "truth")},
               "slack": "0.2", "max_iterations": "5", "num_seeds": "1",
               "rng_seed": "0", "score_k": "full",
-              "removal": "sal", "removal_rank": "auto", "inlp_rounds": "3",
+              "removal": "sal", "removal_rank": "auto",
               "y_kind": "none", **base}
-    for change, match in (({"seed_labels": "seed.csv"}, "seed_labels file not found"),
-                          ({"removal": "lasso"}, "removal must be"),
+    for change, match in (({"removal": "lasso"}, "removal must be"),
                           ({"y_kind": "ranking"}, "y_kind must be"),
-                          ({"y_kind": "regression"}, "requires a y file"),
+                          ({"y_kind": "regression"}, "y_kind=regression requires a y file"),
                           ({"y": "y.csv"}, "y = y.csv is given but y_kind = none")):
-        cfg = PipelineConfig.from_values({**values, **change})
-        with pytest.raises(InvalidInput, match=match):
-            cfg.validate()
-    PipelineConfig.from_values(values).validate()
+        with pytest.raises(InvalidInput, match=f"^{match}"):
+            PipelineConfig.from_values({**values, **change})
+    PipelineConfig.from_values(values)
+    # a missing file is found by the loader that reads it, before any output
+    missing = tmp_path / "seed.csv"
+    cfg = PipelineConfig.from_values({**values, "seed_labels": str(missing)})
+    with pytest.raises(InvalidInput, match=re.escape(f"{missing}: No such file or directory")):
+        run_pipeline(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("removal, key, text, value", [
+    ("inlp", "removal_rank", "3", 3),
+    ("inlp", "removal_rank", "auto", "auto"),
+    ("sal", "inlp_rounds", "0", 0),
+    ("sal", "inlp_rounds", "10", 10),
+])
+def test_pipeline_config_refuses_a_key_its_removal_ignores(tmp_path, removal, key, text, value):
+    message = f"{key} does not apply to removal = {removal}"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"x = a\nrecords = b\noutput_dir = c\nremoval = {removal}\n"
+                        f"{key} = {text}\n")
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        PipelineConfig.from_file(cfg_path)
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        PipelineConfig(x="a", records="b", output_dir="c", removal=removal, **{key: value})
+    other = {"sal": "inlp", "inlp": "sal"}[removal]
+    assert getattr(PipelineConfig(x="a", records="b", output_dir="c", removal=other,
+                                  **{key: value}), key) == value
 
 
 def test_pipeline_config_from_values_defaults_and_located_errors():
     required = {"x": "a", "records": "b", "output_dir": "c"}
     cfg = PipelineConfig.from_values(required)
     assert cfg == PipelineConfig(x="a", records="b", output_dir="c")
-    assert (cfg.slack, cfg.inlp_rounds, cfg.max_iterations, cfg.score_k) == (
-        PRIOR_SLACK, INLP_ROUNDS, AmsalConfig.max_iterations, AmsalConfig.score_k)
+    assert (cfg.slack, cfg.max_iterations, cfg.score_k) == (
+        PRIOR_SLACK, AmsalConfig.max_iterations, AmsalConfig.score_k)
+    assert cfg.removal_rank is None and cfg.inlp_rounds is None  # unset: each eraser's default
     with pytest.raises(FormatError, match="^config: missing required key 'records'$"):
         PipelineConfig.from_values({"x": "a", "output_dir": "c"})
     with pytest.raises(FormatError, match="^run.cfg: missing required key 'x'$"):
