@@ -19,7 +19,7 @@ against a slack node whose potential absorbs the bound slack.
    1989). If every count is then within bounds, at its upper bound where
    phi > 0 and at its lower bound where phi < 0, complementary slackness
    holds: the map is optimal and the prices (slack potential 0) are
-   optimal duals, and the solver goes straight to step 2. Otherwise
+   optimal duals, and the solve is done (see step 2). Otherwise
    `_initial_optimum` repairs the bounds by successive shortest paths
    (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9) on the
    condensed residual graph: one node per record, where arc u -> v
@@ -31,13 +31,17 @@ against a slack node whose potential absorbs the bound slack.
    duals, handed on measured from the slack node. Any start prices lead
    to the same result, since step 2 accepts any optimal duals; better
    ones only leave less to repair.
-2. `_lex_refine` rewrites that optimum into the lexicographically
-   smallest optimal map, so results do not depend on how the optimum was
-   reached. Complementary slackness holds between the duals and every
-   optimal map, so the duals decide each tie: an input moves to a smaller
-   record only along tight edges, found by a reachability search on one
-   tight graph of at most m + 1 nodes. Its record arcs are those of the
-   repair's arc table, on the reduced costs c - phi, whose gain is 0.
+2. After a repair, `_lex_refine` rewrites that optimum into the
+   lexicographically smallest optimal map, so results do not depend on
+   how the optimum was reached. Complementary slackness holds between
+   the duals and every optimal map, so the duals decide each tie: an
+   input moves to a smaller record only along tight edges, found by a
+   reachability search on one tight graph of at most m + 1 nodes. Its
+   record arcs are those of the repair's arc table, on the reduced costs
+   c - phi, whose gain is 0. A certified price start needs no refine:
+   its map argmax(c - phi) puts every input at its first tight record,
+   the smallest record any optimal map can give it, so it is the
+   smallest optimum already.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
 optimality reasoning below is exact integer arithmetic on those costs,
@@ -138,14 +142,23 @@ def score_matrix(x, records, proj, k):
         raise InvalidInput("x columns do not match projection rows")
     if records.dim != proj.v.shape[0]:
         raise InvalidInput("record columns do not match projection rows")
-    return (x @ proj.u[:, :k]) @ (records.z @ proj.v[:, :k]).T
+    return _scores(x, records.z, proj.u, proj.v, k)
+
+
+def _scores(x, z, u, v, k):
+    """score_matrix's core on checked inputs: (x U_k) (z V_k)^T."""
+    return (x @ u[:, :k]) @ (z @ v[:, :k]).T
 
 
 def assignment_objective(s, pi):
     """sum_i s[i, pi(i)] for a given score matrix and map."""
     s = as_matrix(s, "s")
-    idx = np.asarray(pi.map if hasattr(pi, "map") else pi)
-    return float(s[np.arange(s.shape[0]), idx].sum())
+    return _objective(s, np.asarray(pi.map if hasattr(pi, "map") else pi))
+
+
+def _objective(s, pi):
+    """assignment_objective's core on a checked s and an index array pi."""
+    return float(s[np.arange(s.shape[0]), pi].sum())
 
 
 def _to_grid(v, amax):
@@ -208,7 +221,9 @@ def solve_assignment(s, records, prices=None):
     )
     if not certified:
         pi, phi = _initial_optimum(c, pi, phi, records.lower_bounds, records.upper_bounds)
-    pi = _lex_refine(c, pi, phi, records.lower_bounds, records.upper_bounds)
+        # a certified pi = argmax(c - phi) holds every input at its first
+        # tight record, the smallest optimum already
+        pi = _lex_refine(c, pi, phi, records.lower_bounds, records.upper_bounds)
     pi = _checked_assignment(pi, records)
     if prices is not None:
         np.multiply(phi, amax / _SCALE, out=prices)

@@ -7,6 +7,13 @@ assignment (the assignment step). Both half-steps maximize the same
 objective sum_i <U_k^T x_i, V_k^T z_{pi(i)}> with the other block held
 fixed, so the objective never decreases along a run.
 
+`am_iterate` is that iteration as a checked public function. `run_amsal`
+checks its inputs once and runs the same core, `_am_step`, on plain int64
+maps; it skips the sign convention of the SVD, which changes no score.
+The A-step inside stays the public, checked `solve_assignment`, so a
+tracer that wraps the public functions (`bench/spans.py`) sees every
+A-step; its checks are linear in the n x m score matrix.
+
 The driver repeats this from several random feasible starts, scores every
 (seed, iteration) iterate as it arrives and keeps the best so far: the
 largest objective (unsupervised) or the one most consistent with a small
@@ -21,11 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import (Assignment, GuardedRecords, assignment_objective, score_matrix,
-                         solve_assignment)
+from .assignment import Assignment, GuardedRecords, _objective, _scores, solve_assignment
 from .errors import InvalidInput
-from .linalg import (SvdResult, _check_cross_scale, _check_distance_scale, as_matrix,
-                     center_columns, cross_covariance, svd)
+from .linalg import (SvdResult, _as_index_map, _check_cross_scale, _check_distance_scale,
+                     _signed_svd, as_matrix, center_columns, cross_covariance, svd)
 
 
 @dataclass(frozen=True)
@@ -77,8 +83,8 @@ class AmsalResult:
     objective: float
 
 
-def _effective_k(cfg, proj):
-    r = proj.sigma.shape[0]
+def _effective_k(cfg, r):
+    """The scoring dimensions of cfg.score_k when r directions exist."""
     if cfg.score_k == "full":
         return r
     if cfg.score_k > r:
@@ -87,7 +93,7 @@ def _effective_k(cfg, proj):
 
 
 def _hash_map(pi):
-    return hashlib.sha256(pi.map.astype("<i8").tobytes()).hexdigest()[:16]
+    return hashlib.sha256(pi.astype("<i8").tobytes()).hexdigest()[:16]
 
 
 def am_iterate(x, records, pi, cfg, prices=None):
@@ -99,13 +105,38 @@ def am_iterate(x, records, pi, cfg, prices=None):
     the start for the next A-step; the start changes how fast the A-step
     runs, never the map it returns.
     """
+    x, k = _checked_step_inputs(x, records, cfg)
+    pi = _as_index_map(pi, x.shape[0], records.m)
+    new_pi, factors, objective = _am_step(x, records, pi, k, prices)
+    return Assignment(new_pi), _signed_svd(*factors), objective
+
+
+def _checked_step_inputs(x, records, cfg):
+    """The checks of the inputs every step of a search shares: x as a
+    finite matrix, bounds feasible for its n rows, a cross-covariance that
+    stays finite, and the scoring dimensions. Returns (x, k)."""
     x = as_matrix(x, "x")
-    omega = cross_covariance(x, records.z, pi)
-    proj = svd(omega)
-    k = _effective_k(cfg, proj)
-    s = score_matrix(x, records, proj, k)
-    new_pi = solve_assignment(s, records, prices)
-    return new_pi, proj, assignment_objective(s, new_pi)
+    n, d = x.shape
+    records.check_feasible(n)
+    _check_cross_scale(x, records.z)
+    return x, _effective_k(cfg, min(d, records.dim))
+
+
+def _am_step(x, records, pi, k, prices):
+    """am_iterate's core on checked x and records and the int64 map pi:
+    returns the new int64 map, the thin factors (u, sigma, vt) of the SVD
+    of the cross-covariance under pi, and the objective. The A-step is
+    the public solve_assignment, which checks the scores and the prices.
+
+    The factors skip the sign convention. Flipping a singular pair
+    negates a column of x U_k and the same column of z V_k, and each
+    term of a score is then (-a)(-b) = ab exactly, so the scores, the
+    map and the objective are the same bits either way.
+    """
+    u, sigma, vt = np.linalg.svd(x.T @ records.z[pi], full_matrices=False)
+    s = _scores(x, records.z, u, vt.T.copy(), k)  # v laid out as SvdResult.v
+    new_pi = solve_assignment(s, records, prices).map
+    return new_pi, (u, sigma, vt), _objective(s, new_pi)
 
 
 def random_feasible_assignment(records, n, rng):
@@ -141,51 +172,59 @@ def alignment_accuracy(pi, truth):
     """Fraction of inputs mapped to their true record."""
     if pi.n != truth.n:
         raise InvalidInput("assignment and truth must have equal length")
-    return float(np.mean(pi.map == truth.map))
+    return _accuracy(pi.map, truth.map)
+
+
+def _accuracy(pi, truth):
+    """alignment_accuracy's core on index arrays of equal length."""
+    return float(np.mean(pi == truth))
 
 
 def run_amsal(x, records, cfg, truth=None):
     """Full multi-start alternating run that keeps the best iterate so far.
 
-    Inputs are centered defensively (both x and the record rows). A seed
-    stops early once the A-step returns the map unchanged; every iterate
-    is scored and the best so far kept (the earliest on ties), and the
-    final projection is recomputed from the selected map so it always
-    matches the returned assignment. Each A-step of a seed starts from
-    the previous one's optimal prices (the first from zero), which
-    leaves less bound repair and the same maps. Per-seed RNG streams are
-    split from cfg.rng_seed, so the result is a pure function of
-    (inputs, cfg).
+    The inputs are centered defensively (both x and the record rows) and
+    checked once, before the search. The loop then runs `_am_step`,
+    am_iterate's core without its input checks, on plain int64 maps, and
+    only the selected map becomes an Assignment. A seed stops early once
+    the A-step returns the map unchanged; every iterate is scored and the
+    best so far kept (the earliest on ties), and the final projection is
+    recomputed from the selected map so it always matches the returned
+    assignment. Each A-step of a seed starts from the previous one's
+    optimal prices (the first from zero), which leaves less bound repair
+    and the same maps. Per-seed RNG streams are split from cfg.rng_seed,
+    so the result is a pure function of (inputs, cfg).
     """
-    x = as_matrix(x, "x")
-    n = x.shape[0]
-    records.check_feasible(n)
+    x_c, _ = center_columns(x)
+    z_c, _ = center_columns(records.z)
+    centered = GuardedRecords(z_c, records.lower_bounds, records.upper_bounds)
+    x_c, k = _checked_step_inputs(x_c, centered, cfg)
+    n = x_c.shape[0]
+    if truth is not None and truth.n != n:
+        raise InvalidInput("assignment and truth must have equal length")
     seed_labels = None
     if cfg.seed_labels is not None:
         seed_labels = _checked_seed_labels(cfg.seed_labels, n, records.m)
-    x_c, _ = center_columns(x)
-    z_c, _ = center_columns(records.z)
-    _check_cross_scale(x_c, z_c)
-    centered = GuardedRecords(z_c, records.lower_bounds, records.upper_bounds)
 
     rows = []
     best = best_key = None  # best: (seed, objective, pi)
     for seed_idx, child in enumerate(np.random.SeedSequence(cfg.rng_seed).spawn(cfg.num_seeds)):
         rng = np.random.default_rng(child)
-        pi = random_feasible_assignment(centered, n, rng)
+        pi = random_feasible_assignment(centered, n, rng).map
         prices = np.zeros(centered.m)
         for iteration in range(1, cfg.max_iterations + 1):
-            new_pi, _, objective = am_iterate(x_c, centered, pi, cfg, prices)
-            acc = alignment_accuracy(new_pi, truth) if truth is not None else float("nan")
+            new_pi, _, objective = _am_step(x_c, centered, pi, k, prices)
+            acc = _accuracy(new_pi, truth.map) if truth is not None else float("nan")
             rows.append(TraceRow(seed_idx, iteration, objective, _hash_map(new_pi), acc))
             key = _candidate_key(objective, new_pi, seed_labels)
             if best is None or key > best_key:
                 best, best_key = (seed_idx, objective, new_pi), key
-            if np.array_equal(new_pi.map, pi.map):
+            if np.array_equal(new_pi, pi):
                 break
             pi = new_pi
 
     seed_idx, objective, pi = best
+    pi = Assignment(pi)
     projection = svd(cross_covariance(x_c, z_c, pi))
     return AmsalResult(
         assignment=pi,
@@ -219,12 +258,13 @@ def _checked_seed_labels(seed_labels, n, m):
 
 
 def _candidate_key(objective, pi, seed_labels):
-    """Selection key of one iterate: its objective, or with checked seed
-    pairs its accuracy on them with the objective next."""
+    """Selection key of one iterate with the int64 map pi: its objective,
+    or with checked seed pairs its accuracy on them with the objective
+    next."""
     if seed_labels is None:
         return (objective,)
     idx, values = seed_labels
-    return float(np.mean(pi.map[idx] == values)), objective
+    return float(np.mean(pi[idx] == values)), objective
 
 
 def kmeans_assign(x, records, cfg):

@@ -19,14 +19,17 @@ file so runs can be replayed without any extra dependencies.
 
 Matrix files move in about the matrix's own memory: binary payloads go
 straight between the file and the array, and CSV is written a row at a
-time and parsed a line at a time into one float64 buffer. Every text
-reader walks its file a line at a time, so a file with several faults
-reports the first one in file order.
+time and parsed a line at a time into one float64 buffer. A label or
+value file is decoded and parsed whole in one pass. A file with several
+faults reports the first one in file order: the other text readers walk
+their file a line at a time, and a label or value reader that meets a
+fault rescans its file that way to name it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
 import os
 import stat
@@ -247,15 +250,21 @@ def _int64(tok):
 
 
 def _load_column(path, parse, what, dtype):
-    values = []
+    """One value per non-blank line: the file is read and decoded whole and
+    its stripped lines parsed in one pass. On a fault a rescan a line at
+    a time names the first one in file order, a bad value or a bad byte."""
     with _opened(path, "rb") as fh:
-        for ln, line in _lines(fh, path):
-            if not line.strip():
-                continue
+        raw = fh.read()
+    try:
+        values = [parse(tok) for line in raw.decode("utf-8").splitlines() if (tok := line.strip())]
+    except (UnicodeDecodeError, ValueError):
+        for ln, line in _lines(io.BytesIO(raw), path):
             try:
-                values.append(parse(line.strip()))
+                if line.strip():
+                    parse(line.strip())
             except ValueError:
                 raise FormatError(f"{path}: line {ln}: not {what}") from None
+        raise  # the rescan meets the same fault, so it never gets here
     if not values:
         raise FormatError(f"{path}: no data rows")
     return np.asarray(values, dtype=dtype)
@@ -376,6 +385,14 @@ _PARSERS = {
 }
 
 
+def _refused(key, message):
+    """InvalidInput(message) about the config key `key`; from_file puts the
+    file and the line that set the key in front."""
+    exc = InvalidInput(message)
+    exc.key = key
+    return exc
+
+
 @dataclasses.dataclass(frozen=True)
 class PipelineConfig:
     """Parsed pipeline settings, one field per config key. The fields
@@ -400,18 +417,21 @@ class PipelineConfig:
     truth: str = ""
 
     def __post_init__(self):
+        for key, what in (("x", "file"), ("records", "file"), ("output_dir", "directory")):
+            if not getattr(self, key):
+                raise _refused(key, f"{key} must name a {what}, got an empty path")
         if self.removal not in (SAL, INLP):
-            raise InvalidInput(f"removal must be 'sal' or 'inlp', got {self.removal!r}")
+            raise _refused("removal", f"removal must be 'sal' or 'inlp', got {self.removal!r}")
         for key, other in (("removal_rank", INLP), ("inlp_rounds", SAL)):
             if self.removal == other and getattr(self, key) is not None:
-                raise InvalidInput(f"{key} does not apply to removal = {other}")
+                raise _refused(key, f"{key} does not apply to removal = {other}")
         if self.y_kind not in ("classification", "regression", "none"):
-            raise InvalidInput("y_kind must be classification, regression or none")
+            raise _refused("y_kind", "y_kind must be classification, regression or none")
         if self.y_kind != "none" and not self.y:
-            raise InvalidInput(f"y_kind={self.y_kind} requires a y file")
+            raise _refused("y_kind", f"y_kind={self.y_kind} requires a y file")
         if self.y_kind == "none" and self.y:
-            raise InvalidInput(f"y = {self.y} is given but y_kind = none would ignore it; "
-                               "set y_kind to classification or regression")
+            raise _refused("y", f"y = {self.y} is given but y_kind = none would ignore it; "
+                                "set y_kind to classification or regression")
 
     @classmethod
     def from_file(cls, path):
@@ -433,7 +453,13 @@ class PipelineConfig:
                     raise FormatError(f"{path}: line {ln}: key {key!r} repeats line {lines[key]}")
                 lines[key] = ln
                 values[key] = value.strip()
-        return cls.from_values(values, source=str(path))
+        try:
+            return cls.from_values(values, source=str(path))
+        except InvalidInput as exc:
+            key = getattr(exc, "key", None)
+            if key not in lines:
+                raise
+            raise InvalidInput(f"{path}: line {lines[key]}: {exc}") from None
 
     @classmethod
     def from_values(cls, values, source="config"):

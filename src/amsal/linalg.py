@@ -158,7 +158,12 @@ def svd(a):
     Raises InvalidInput on non-finite input.
     """
     a = as_matrix(a, "a")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    return _signed_svd(*np.linalg.svd(a, full_matrices=False))
+
+
+def _signed_svd(u, s, vt):
+    """SvdResult of the thin factors np.linalg.svd returns, with the
+    sign convention applied."""
     u, flip = _fix_signs(u)
     v = vt.T.copy()
     v[:, flip] *= -1.0

@@ -354,6 +354,38 @@ def test_certified_price_start_reaches_the_reference_map(instance):
     np.testing.assert_array_equal(solve_assignment(s, records).map, expected)
 
 
+@st.composite
+def _tied_price_starts(draw):
+    """Integer costs in [-2, 2], so most inputs tie at two records or more,
+    bounds within a few units of the argmax counts, and start prices of a
+    few cost units or zero."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.integers(-2, 3, size=(n, m))
+    counts = np.bincount(c.argmax(axis=1), minlength=m)
+    lower = np.maximum(counts - rng.integers(-1, 3, size=m), 0)
+    upper = np.maximum(counts + rng.integers(-1, 3, size=m), lower)
+    assume(lower.sum() <= n <= np.minimum(upper, n).sum())
+    phi = rng.integers(-2, 3, size=m) if draw(st.booleans()) else np.zeros(m, dtype=np.int64)
+    return c, lower, upper, phi
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_price_starts())
+def test_a_certified_price_start_leaves_the_lex_refine_nothing_to_move(instance):
+    """The solver runs the lex refine only after a repair: a certified
+    argmax(c - phi) holds every input at its first tight record, which is
+    the lexicographically smallest optimum already."""
+    c, lower, upper, phi = instance
+    pi, phi = amsal.assignment._price_start(c, lower.tolist(), upper.tolist(), phi)
+    counts = np.bincount(pi, minlength=lower.size)
+    assume(np.all((counts >= lower) & (counts <= upper)
+                  & ((phi <= 0) | (counts == upper)) & ((phi >= 0) | (counts == lower))))
+    refined = amsal.assignment._lex_refine(c, pi.copy(), phi, lower, upper)
+    np.testing.assert_array_equal(refined, pi)
+
+
 def test_certified_start_skips_the_repair_and_path_searches():
     n = 300
     s = np.random.default_rng(19).standard_normal((n, 2))

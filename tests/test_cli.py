@@ -450,3 +450,15 @@ def test_overflowing_cross_covariance_is_invalid_input(tmp_path, capsys, command
     ])
     assert rc == 2
     assert "the cross-covariance of x and the records overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, key", [("--x", "x"), ("--records", "records"),
+                                       ("--out", "output_dir")])
+def test_align_empty_path_exits_2_naming_the_key(tmp_path, capsys, flag, key):
+    data = _synth(tmp_path, n=60, seed=2)
+    paths = {"--x": str(data / "x.bin"), "--records": str(data / "z_records.bin"),
+             "--out": str(tmp_path / "out"), flag: ""}
+    assert main(["align", *(a for item in paths.items() for a in item)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: InvalidInput: {key} must name a " in err and "got an empty path" in err
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 import weakref
@@ -28,11 +29,12 @@ from amsal import (
     random_feasible_assignment,
     reference_records_spec,
     run_amsal,
+    score_matrix,
     singular_value_sum,
     solve_assignment,
     svd,
 )
-from amsal.driver import _lloyd, _sq_dists
+from amsal.driver import TraceRow, _lloyd, _sq_dists
 
 
 def _centered_records(records):
@@ -184,21 +186,21 @@ def test_random_feasible_assignment_matches_per_unit_draws_corpus():
 
 
 def _pick_from_stream(stream, num_seeds, max_iterations, seed_labels=None):
-    """Run run_amsal with each A-step replaced by the next (objective, map)
+    """Run run_amsal with each step replaced by the next (objective, map)
     of stream and check its pick against the list-based reference rule
     over the candidates it saw; returns the (seed, iteration) picked.
 
-    Each map is handed over as a fresh Assignment that only run_amsal
+    Each map is handed over as a fresh int64 array that only run_amsal
     holds, so the check also counts how many of them it keeps alive."""
     n, m = len(stream[0][1]), 3
     items = iter(stream)
     handed, seen, most_alive = [], [], 0
 
-    def a_step(x, records, pi, cfg, prices):
+    def a_step(x, records, pi, k, prices):
         nonlocal most_alive
         most_alive = max(most_alive, sum(ref() is not None for ref in handed))
         objective, raw = next(items)
-        new_pi = Assignment(np.array(raw))
+        new_pi = np.array(raw, dtype=np.int64)
         handed.append(weakref.ref(new_pi))
         seen.append((objective, raw))
         return new_pi, None, objective
@@ -206,14 +208,13 @@ def _pick_from_stream(stream, num_seeds, max_iterations, seed_labels=None):
     x = np.random.default_rng(0).standard_normal((n, 2))
     records = GuardedRecords(np.arange(m, dtype=float)[:, None], np.zeros(m, int), np.full(m, n))
     cfg = AmsalConfig(max_iterations=max_iterations, num_seeds=num_seeds, seed_labels=seed_labels)
-    with mock.patch("amsal.driver.am_iterate", a_step):
+    with mock.patch("amsal.driver._am_step", a_step):
         result = run_amsal(x, records, cfg)
     assert len(result.trace.rows) == len(seen)
     candidates = [(row.seed, row.iteration, objective, Assignment(np.array(raw)))
                   for row, (objective, raw) in zip(result.trace.rows, seen)]
     best = reference_pick_candidate(candidates, seed_labels)
-    k = next(i for i, c in enumerate(candidates) if c is best)
-    assert handed[k]() is result.assignment
+    np.testing.assert_array_equal(result.assignment.map, best[3].map)
     assert (result.seed, result.objective) == (best[0], best[2])
     # the kept best and the current map, never the pool
     assert most_alive <= 2
@@ -301,6 +302,75 @@ def test_warm_started_a_steps_repair_less_and_change_nothing():
     assert cold_moves > warm_moves and cold_repairs > warm_repairs
     assert warm.trace.rows == cold.trace.rows
     np.testing.assert_array_equal(warm.assignment.map, cold.assignment.map)
+
+
+def _reference_run(x, records, cfg, truth):
+    """run_amsal's search written with the public, checked am_iterate and
+    the list-based selection rule: (trace rows, picked candidate,
+    projection of the picked map)."""
+    x_c, _ = center_columns(x)
+    centered = _centered_records(records)
+    rows, candidates = [], []
+    for seed, child in enumerate(np.random.SeedSequence(cfg.rng_seed).spawn(cfg.num_seeds)):
+        pi = random_feasible_assignment(centered, len(x), np.random.default_rng(child))
+        prices = np.zeros(records.m)
+        for iteration in range(1, cfg.max_iterations + 1):
+            new_pi, _, objective = am_iterate(x_c, centered, pi, cfg, prices)
+            digest = hashlib.sha256(new_pi.map.astype("<i8").tobytes()).hexdigest()[:16]
+            rows.append(TraceRow(seed, iteration, objective, digest,
+                                 alignment_accuracy(new_pi, truth)))
+            candidates.append((seed, iteration, objective, new_pi))
+            if np.array_equal(new_pi.map, pi.map):
+                break
+            pi = new_pi
+    best = reference_pick_candidate(candidates, cfg.seed_labels)
+    return rows, best, svd(cross_covariance(x_c, centered.z, best[3]))
+
+
+@pytest.mark.parametrize("m, score_k, with_labels", [
+    (2, "full", False), (2, 1, True), (8, "full", True), (8, 1, False),
+])
+def test_run_amsal_matches_a_loop_of_the_checked_public_step(m, score_k, with_labels):
+    if m == 2:
+        data, records, truth = _planted(n=160, seed=7)
+    else:
+        priors = np.arange(8, 0, -1, dtype=np.float64)
+        data = generate_latent(LatentSpec(n=240, d=16, d_prime=7, num_states=8,
+                                          state_priors=tuple(priors / priors.sum()),
+                                          z_noise=0.0, separation=3.0, rng_seed=2))
+        records, truth = as_records(data, slack=0.2)
+    assert records.m == m
+    labels = (np.arange(0, 60, 7), truth.map[0:60:7]) if with_labels else None
+    cfg = AmsalConfig(num_seeds=3, score_k=score_k, seed_labels=labels, rng_seed=5)
+    result = run_amsal(data.x, records, cfg, truth=truth)
+    rows, (seed, _, objective, pi), projection = _reference_run(data.x, records, cfg, truth)
+    assert result.trace.rows == tuple(rows)
+    np.testing.assert_array_equal(result.assignment.map, pi.map)
+    assert (result.seed, result.objective) == (seed, objective)
+    for name in ("u", "sigma", "v"):
+        np.testing.assert_array_equal(getattr(result.projection, name), getattr(projection, name))
+
+
+def test_public_steps_still_refuse_non_finite_input():
+    data, records, truth = _planted(n=60, seed=2)
+    cfg = AmsalConfig()
+    proj = svd(cross_covariance(data.x, records.z, truth))
+    s = score_matrix(data.x, records, proj, 1)
+    bad_x, bad_s = data.x.copy(), s.copy()
+    bad_x[3, 1] = np.nan
+    bad_s[5, 0] = np.inf
+    for call in (lambda: am_iterate(bad_x, records, truth, cfg),
+                 lambda: run_amsal(bad_x, records, cfg),
+                 lambda: cross_covariance(bad_x, records.z, truth),
+                 lambda: svd(bad_s),
+                 lambda: score_matrix(bad_x, records, proj, 1),
+                 lambda: solve_assignment(bad_s, records)):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            call()
+    with pytest.raises(InvalidInput, match="start prices must be 2 finite numbers"):
+        am_iterate(data.x, records, truth, cfg, np.array([np.nan, 0.0]))
+    with pytest.raises(InvalidInput, match="score_k=3 exceeds the 2 available directions"):
+        am_iterate(data.x, records, truth, AmsalConfig(score_k=3))
 
 
 def test_run_amsal_memory_does_not_grow_with_the_candidate_count():

@@ -481,13 +481,36 @@ def test_pipeline_config_refuses_a_key_its_removal_ignores(tmp_path, removal, ke
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(f"x = a\nrecords = b\noutput_dir = c\nremoval = {removal}\n"
                         f"{key} = {text}\n")
-    with pytest.raises(InvalidInput, match=f"^{message}$"):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(str(cfg_path))}: line 5: {message}$"):
         PipelineConfig.from_file(cfg_path)
     with pytest.raises(InvalidInput, match=f"^{message}$"):
         PipelineConfig(x="a", records="b", output_dir="c", removal=removal, **{key: value})
     other = {"sal": "inlp", "inlp": "sal"}[removal]
     assert getattr(PipelineConfig(x="a", records="b", output_dir="c", removal=other,
                                   **{key: value}), key) == value
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("removal = inlp\nremoval_rank = 3\n", 5, "removal_rank does not apply to removal = inlp"),
+    ("inlp_rounds = 4\n", 4, "inlp_rounds does not apply to removal = sal"),
+    ("# the removal\n\nremoval = lasso\n", 6, "removal must be 'sal' or 'inlp', got 'lasso'"),
+    ("y_kind = regression\n", 4, "y_kind=regression requires a y file"),
+    ("y_kind = ranking\ny = y.csv\n", 4, "y_kind must be classification, regression or none"),
+    ("y = y.csv\n", 4, "y = y.csv is given but y_kind = none would ignore it"),
+])
+def test_pipeline_config_file_errors_name_the_line_of_the_key(tmp_path, body, line, message):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"x = a\nrecords = b\noutput_dir = c\n{body}")
+    with pytest.raises(InvalidInput, match=f"^{re.escape(f'{cfg_path}: line {line}: {message}')}"):
+        PipelineConfig.from_file(cfg_path)
+
+
+@pytest.mark.parametrize("key, what", [("x", "file"), ("records", "file"),
+                                       ("output_dir", "directory")])
+def test_pipeline_config_refuses_an_empty_path(key, what):
+    paths = {"x": "a", "records": "b", "output_dir": "c", key: ""}
+    with pytest.raises(InvalidInput, match=f"^{key} must name a {what}, got an empty path$"):
+        PipelineConfig(**paths)
 
 
 def test_pipeline_config_from_values_defaults_and_located_errors():
