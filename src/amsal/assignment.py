@@ -11,37 +11,27 @@ against a slack node whose potential absorbs the bound slack.
 1. `_price_start` takes the row-wise argmax of c - phi from given start
    prices: zero for a cold solve, or the previous A-step's optimal duals
    when the driver solves a sequence of nearby problems. One vectorized
-   pass re-prices each record that breaks complementary slackness: a
-   record in bounds whose price has the wrong sign for its count drops
-   to price 0 if that keeps it in bounds, and any other gets the price
-   that puts its count on the violated bound (a dual start in the spirit
-   of auction methods for transportation problems; Bertsekas & Castanon,
-   1989). If every count is then within bounds, at its upper bound where
-   phi > 0 and at its lower bound where phi < 0, complementary slackness
-   holds: the map is optimal and the prices (slack potential 0) are
-   optimal duals, and the solve is done (see step 2). Otherwise
-   `_initial_optimum` repairs the bounds by successive shortest paths
-   (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9) on the
-   condensed residual graph: one node per record, where arc u -> v
+   pass re-prices each record that breaks complementary slackness (a
+   dual start in the spirit of auction methods for transportation
+   problems; Bertsekas & Castanon, 1989). If every count then equals its
+   `_slack_flow` (on its upper bound where phi > 0, its lower bound where
+   phi < 0, else within its bounds), the map is optimal, the prices are
+   optimal duals, and the solve is done: the map puts every input at its
+   first tight record, the smallest optimum already.
+2. Otherwise one residual graph serves a repair and a refine. Its nodes
+   are the records plus a slack node for the bound slack; arc u -> v
    carries the best gain of moving a single input from u to v (two m x m
-   arrays, built by `_arc_table` and kept current by `_move`), plus a
-   slack node for the bound slack. The prices are its node potentials,
-   so each path comes from one dense Dijkstra (Edmonds & Karp, 1972)
-   that also updates them, and once the bounds hold they are optimal
-   duals, handed on measured from the slack node. Any start prices lead
-   to the same result, since step 2 accepts any optimal duals; better
-   ones only leave less to repair.
-2. After a repair, `_lex_refine` rewrites that optimum into the
+   arrays, built by `_arc_table` and kept current by `_move`), and
+   `_lengths` gives every arc its length under node potentials. One
+   dense Dijkstra (`_paths`) searches it in both phases.
+   `_initial_optimum` repairs the bounds by successive shortest paths
+   (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9; Edmonds & Karp,
+   1972), with the prices as potentials, so once the bounds hold they are
+   optimal duals. `_lex_refine` then rewrites that optimum into the
    lexicographically smallest optimal map, so results do not depend on
-   how the optimum was reached. Complementary slackness holds between
-   the duals and every optimal map, so the duals decide each tie: an
-   input moves to a smaller record only along tight edges, found by a
-   reachability search on one tight graph of at most m + 1 nodes. Its
-   record arcs are those of the repair's arc table, on the reduced costs
-   c - phi, whose gain is 0. A certified price start needs no refine:
-   its map argmax(c - phi) puts every input at its first tight record,
-   the smallest record any optimal map can give it, so it is the
-   smallest optimum already.
+   how it was reached: at the optimal duals the zero-length arcs are the
+   tight edges along which inputs may move to smaller records. Any start
+   prices lead to the same result; better ones only leave less to repair.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
 optimality reasoning below is exact integer arithmetic on those costs,
@@ -60,6 +50,8 @@ from .errors import AmsalError, InfeasibleBounds, InvalidInput
 from .linalg import _as_index_map, as_matrix
 
 _SCALE = float(2**32)
+_FAR = 2**62  # no arc; a distance plus _FAR still fits int64
+_DONE = np.iinfo(np.int64).max  # a settled node's Dijkstra key
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,19 +203,15 @@ def solve_assignment(s, records, prices=None):
             # bounds only the start's quality
             lim = 2.0**8 * amax
             phi[:] = [round(_to_grid(min(max(p, -lim), lim), amax)) for p in prices.tolist()]
-    lower, upper = records.lower_bounds.tolist(), records.upper_bounds.tolist()
-    pi, phi = _price_start(c, lower, upper, phi)
+    lower, upper = records.lower_bounds, records.upper_bounds
+    pi, phi = _price_start(c, lower.tolist(), upper.tolist(), phi)
     counts = np.bincount(pi, minlength=m)
     # complementary slackness: phi are optimal duals of pi
-    certified = np.all(
-        (counts >= lower) & (counts <= upper)
-        & ((phi <= 0) | (counts == upper)) & ((phi >= 0) | (counts == lower))
-    )
-    if not certified:
-        pi, phi = _initial_optimum(c, pi, phi, records.lower_bounds, records.upper_bounds)
+    if not np.array_equal(_slack_flow(phi, counts, lower, upper), counts):
+        pi, phi, W, witness = _initial_optimum(c, pi, phi, lower, upper)
         # a certified pi = argmax(c - phi) holds every input at its first
         # tight record, the smallest optimum already
-        pi = _lex_refine(c, pi, phi, records.lower_bounds, records.upper_bounds)
+        pi = _lex_refine(c, pi, phi, lower, upper, W, witness)
     pi = _checked_assignment(pi, records)
     if prices is not None:
         np.multiply(phi, amax / _SCALE, out=prices)
@@ -243,20 +231,18 @@ def _checked_assignment(pi, records):
     return Assignment(pi)
 
 
-def _arc_table(c, pi, rows=None):
-    """The arc table of the record graph under the map pi, over the
-    ascending inputs `rows` (all by default); the repair and the lex
-    refine both read it.
+def _arc_table(c, pi):
+    """The arc table of the record graph under the map pi, which the
+    repair and the lex refine both read.
 
-    W[u, v] is the best gain c[i, v] - c[i, u] over those inputs i in
+    W[u, v] is the best gain c[i, v] - c[i, u] over the inputs i in
     record u (-inf where there is none and on the diagonal), and
     witness[u, v] the largest input that attains it (-1 where there is
     none). One stable sort of pi lays the inputs out in record blocks, and
     a reduction over each block gives both tables.
     """
     m = c.shape[1]
-    rows = np.arange(c.shape[0]) if rows is None else rows
-    order = rows[np.argsort(pi[rows], kind="stable")]
+    order = np.argsort(pi, kind="stable")
     blocks = pi[order]
     counts = np.bincount(blocks, minlength=m)
     held = np.flatnonzero(counts)
@@ -356,62 +342,91 @@ def _price_start(c, lower, upper, phi):
     return pi, phi
 
 
-def _initial_optimum(c, pi, phi, lower, upper):
-    """One optimal map from the start pi = argmax(c - phi), and its
-    optimal duals measured from the slack node.
+def _slack_flow(phi, counts, lower, upper):
+    """The count each record must hold under its price phi: upper where
+    phi > 0, lower where phi < 0, else the count clipped to the bounds."""
+    return np.where(phi > 0, upper, np.where(phi < 0, lower, np.clip(counts, lower, upper)))
 
-    Successive shortest paths on the m records plus a slack node m, which
-    takes f[u] units of count from record u and hands the n inputs on:
-    f[u] starts at upper[u] where phi[u] > 0, at lower[u] where phi[u] <
-    0, else at u's count clipped to its bounds. The excess is count - f at
-    a record and f.sum() - n at the slack node. Arc u -> v moves input
-    witness[u, v] at gain W[u, v]; u -> m raises f[u] below upper[u] and
-    m -> u lowers it above lower[u], at gain 0. Under potentials p (phi,
-    then 0) no arc length p[v] - p[u] - gain is negative, as every input
-    sits in an argmax of c - p[:m] and f on the bound that the sign of
-    p[u] - p[m] calls for. Each step runs one Dijkstra from all excess to
-    the first deficit node it settles, t, lowers the settled potentials
-    by their distance minus t's, which keeps every length non-negative
-    and zeroes those on the path, and shifts count along the path.
+
+def _lengths(W, witness, p, f, lower, upper):
+    """The (m + 1) x (m + 1) arc lengths p[v] - p[u] - gain of the residual
+    graph on the m records plus a slack node m, under node potentials p
+    and the slack flow f (_FAR where there is no arc).
+
+    Arc u -> v moves input witness[u, v] at gain W[u, v]; u -> m raises
+    f[u] below upper[u] and m -> u lowers it above lower[u], at gain 0.
+    """
+    m = W.shape[0]
+    length = np.empty((m + 1, m + 1), dtype=np.int64)
+    held = witness >= 0
+    np.subtract(p[:m], p[:m, None], out=length[:m, :m])
+    length[:m, :m][held] -= W[held].astype(np.int64)
+    length[:m, :m][~held] = _FAR
+    length[:m, m] = np.where(f < upper, p[m] - p[:m], _FAR)
+    length[m] = np.append(np.where(f > lower, p[:m] - p[m], _FAR), _FAR)
+    return length
+
+
+def _paths(length, sources, stop):
+    """Dijkstra on the non-negative arc lengths length[u, v] from every
+    node of the mask `sources` at once, up to the first node of the mask
+    `stop` it settles.
+
+    Returns (dist, came, settled, t): the distances found so far (_FAR
+    or more where none), came[v] the node v was reached from (a source is
+    its own), the mask of the nodes settled before t, and t, or -1 when no
+    stop node is reachable.
+    """
+    dist = np.where(sources, 0, _FAR)
+    key = dist.copy()  # the unsettled nodes' distances; _DONE once settled
+    came = np.arange(length.shape[0])
+    while True:
+        t = int(key.argmin())
+        if key[t] >= _FAR:
+            return dist, came, key == _DONE, -1
+        if stop[t]:
+            return dist, came, key == _DONE, t
+        key[t] = _DONE
+        alt = length[t] + dist[t]
+        better = alt < dist  # never a settled node, as no length is negative
+        key[better] = dist[better] = alt[better]
+        came[better] = t
+
+
+def _initial_optimum(c, pi, phi, lower, upper):
+    """One optimal map from the start pi = argmax(c - phi), its optimal
+    duals measured from the slack node, and its arc table W, witness.
+
+    Successive shortest paths on the residual graph of `_lengths`, whose
+    slack node m takes f[u] units of count from record u and hands the n
+    inputs on: f starts at `_slack_flow`. The excess is count - f at a
+    record and f.sum() - n at the slack node. Under potentials p (phi,
+    then 0) no arc length is negative, as every input sits in an argmax
+    of c - p[:m] and f on the bound that the sign of p[u] - p[m] calls
+    for. Each step runs one Dijkstra (`_paths`) from all excess to the
+    first deficit node it settles, t, lowers the settled potentials by
+    their distance minus t's, which keeps every length non-negative and
+    zeroes those on the path, and shifts count along the path.
 
     Sources shift together and a deficit node's potential never moves, so
     each potential stays within a few path gains (at most m 2^33 each) of
     the start prices: within 2^40 on the grid, plus at most 2^34 for each
     record `_price_start` re-prices. For m < 2^20 that is far below the
-    sentinel `far` = 2^62, and a distance plus `far` still fits int64.
+    sentinel _FAR = 2^62, and a distance plus _FAR still fits int64.
     """
     n, m = c.shape
-    far, done = 2**62, np.iinfo(np.int64).max
     pi = pi.copy()
     W, witness = _arc_table(c, pi)
     counts = np.bincount(pi, minlength=m)
     upper = np.minimum(upper, n + 1)  # above n binds no map; keeps f.sum() small
-    f = np.where(phi > 0, upper, np.where(phi < 0, lower, np.clip(counts, lower, upper)))
+    f = _slack_flow(phi, counts, lower, upper)
     p = np.append(phi, 0)
     excess = np.append(counts - f, f.sum() - n)
-    length = np.empty((m + 1, m + 1), dtype=np.int64)
     while np.any(excess > 0):
-        held = witness >= 0
-        np.subtract(p[:m], p[:m, None], out=length[:m, :m])
-        length[:m, :m][held] -= W[held].astype(np.int64)
-        length[:m, :m][~held] = far
-        length[:m, m] = np.where(f < upper, p[m] - p[:m], far)
-        length[m] = np.append(np.where(f > lower, p[:m] - p[m], far), far)
-        dist = np.where(excess > 0, 0, far)
-        key = dist.copy()  # the unsettled nodes' distances; `done` once settled
-        came = np.arange(m + 1)  # a source is its own start
-        while True:
-            t = int(key.argmin())
-            if key[t] >= far:
-                raise AmsalError("bound repair: no record can take the excess count")
-            if excess[t] < 0:
-                break
-            key[t] = done
-            alt = length[t] + dist[t]
-            better = alt < dist  # never a settled node, as no length is negative
-            key[better] = dist[better] = alt[better]
-            came[better] = t
-        settled = key == done
+        dist, came, settled, t = _paths(_lengths(W, witness, p, f, lower, upper),
+                                        excess > 0, excess < 0)
+        if t < 0:
+            raise AmsalError("bound repair: no record can take the excess count")
         p[settled] -= dist[settled] - dist[t]
         path = _walk(came, t)[::-1]
         arcs = list(zip(path, path[1:]))
@@ -433,20 +448,7 @@ def _initial_optimum(c, pi, phi, lower, upper):
             _shift(c, pi, W, witness, path)
             excess[path[0]] -= unit
             excess[t] += unit
-    return pi, p[:m] - p[m]
-
-
-def _search(arcs, start):
-    """Breadth-first search from start over the boolean rows arcs[u][v]
-    (an arc u -> v): node -> the node it was reached from."""
-    came = {start: start}
-    queue = [start]
-    for u in queue:
-        for v, on in enumerate(arcs[u]):
-            if on and v not in came:
-                came[v] = u
-                queue.append(v)
-    return came
+    return pi, p[:m] - p[m], W, witness
 
 
 def _walk(came, node):
@@ -457,30 +459,27 @@ def _walk(came, node):
     return path
 
 
-def _lex_refine(c, pi, phi, lower, upper):
+def _lex_refine(c, pi, phi, lower, upper, W, witness):
     """Rewrite the optimal map pi into the lexicographically smallest
-    optimal map, given optimal duals phi measured from the slack node.
+    optimal map, given optimal duals phi measured from the slack node and
+    the arc table W, witness of pi on c (kept current by `_move`).
 
     By complementary slackness the optimal maps are exactly the maps
     that use only tight edges (c[i, j] - phi[j] maximal over j) and keep
     each count at its upper bound where phi[j] > 0 and at its lower bound
     where phi[j] < 0. Inputs are fixed in index order. Input i in record
     a may move to a smaller record b exactly when i is tight at b and b
-    reaches a in the tight graph of the inputs after i, whose arcs are:
-
-    - u -> v when some input after i in u is tight at v (moving it);
-    - u -> slack when count[u] < upper[u] and phi[u] == 0;
-    - slack -> v when count[v] > lower[v] and phi[v] == 0.
+    reaches a in the tight graph of the inputs after i. That graph is the
+    zero-length part of the repair's residual graph (`_lengths` under the
+    potentials (phi, 0), with the counts as the slack flow): record arc
+    u -> v has length 0 exactly when some input in u is tight at v, and
+    its witness is then the largest such input, so u -> v is an arc of
+    input i's search exactly when that witness comes after i.
 
     The smallest such b wins, and the inputs on a path from b to a move
     one arc each. An input already in its smallest tight record cannot
     move, and an input tight at one record only is never moved or used,
-    so the search covers the inputs tight at two or more records. Their
-    arcs are read from the repair's arc table (`_arc_table`, kept current
-    by `_move`) over them on the reduced costs c - phi, whose gains are at
-    most 0 and are 0 exactly where an input is tight: where W[u, v] == 0
-    the witness is the largest input in u tight at v, and u -> v is an arc
-    of input i's search exactly when that input comes after i.
+    so the search covers the inputs tight at two or more records.
     """
     n, m = c.shape
     reduced = c - phi
@@ -489,28 +488,24 @@ def _lex_refine(c, pi, phi, lower, upper):
     multi = np.flatnonzero(np.count_nonzero(tight, axis=1) > 1)
     if not np.any(pi[multi] != first_tight[multi]):
         return pi
-    W, witness = _arc_table(reduced, pi, multi)
-    live = np.where(W == 0, witness, -1)  # the witnesses of the tight arcs
-    counts = np.bincount(pi, minlength=m)
-    at_slack = phi == 0
-    arcs = np.zeros((m + 1, m + 1), dtype=bool)  # arcs[u, v]: u -> v; node m is the slack
+    p = np.append(phi, 0)
+    zero = _lengths(W, witness, p, np.bincount(pi, minlength=m), lower, upper) == 0
+    nodes, never = np.arange(m + 1), np.zeros(m + 1, dtype=bool)
     for i in multi.tolist():
         a = int(pi[i])
         if a == first_tight[i]:
             continue
-        np.greater(live, i, out=arcs[:m, :m])
-        arcs[:m, m] = at_slack & (counts < upper)
-        arcs[m, :m] = at_slack & (counts > lower)
-        came = _search(arcs.T.tolist(), a)  # node -> the next node on a path to a
-        b = next((b for b in range(a) if tight[i, b] and b in came), None)
-        if b is None:
+        arcs = zero.copy()
+        arcs[:m, :m] &= witness > i
+        # reversed, so came[v] is the next node on a tight path from v to a
+        dist, came, _, _ = _paths(np.where(arcs.T, 0, _FAR), nodes == a, never)
+        reach = np.flatnonzero(tight[i, :a] & (dist[:a] == 0))
+        if not reach.size:
             continue
-        path = _walk(came, b)
-        _shift(reduced, pi, W, witness, path)
-        _move(reduced, pi, W, witness, i, b)
-        counts = np.bincount(pi, minlength=m)
-        rows = [u for u in path if u < m]  # the moves changed only these rows
-        live[rows] = np.where(W[rows] == 0, witness[rows], -1)
+        b = int(reach[0])
+        _shift(c, pi, W, witness, _walk(came, b))
+        _move(c, pi, W, witness, i, b)
+        zero = _lengths(W, witness, p, np.bincount(pi, minlength=m), lower, upper) == 0
     return pi
 
 

@@ -78,9 +78,8 @@ def _cmd_erase(args):
     records = (aio.guarded_records(aio.load_matrix(args.records), x.shape[0], None, PRIOR_SLACK)
                if args.records else None)
     pi = aio.load_assignment(args.assignment, x.shape[0], records.m if records else None)
-    given = {key: value for key, value in (("rank", args.rank), ("max_rounds", args.max_rounds))
-             if value is not None}
-    aio.erase(x, pi, args.method, args.out, args.format, records=records, **given)
+    aio.erase(x, pi, args.method, args.out, args.format, records=records, rank=args.rank,
+              max_rounds=args.max_rounds)
     print(f"erased matrix written to {Path(args.out) / f'x_erased.{args.format}'}")
     return 0
 

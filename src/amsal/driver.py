@@ -33,6 +33,8 @@ from .errors import InvalidInput
 from .linalg import (SvdResult, _as_index_map, _check_cross_scale, _check_distance_scale,
                      _signed_svd, as_matrix, center_columns, cross_covariance, svd)
 
+LLOYD_SWEEPS = 100  # cap on the Lloyd sweeps of the k-means baseline
+
 
 @dataclass(frozen=True)
 class AmsalConfig:
@@ -315,7 +317,7 @@ def _sq_dists(x, centers):
     return np.stack([((x - c) ** 2).sum(axis=1) for c in centers], axis=1)
 
 
-def _lloyd(x, k, rng, max_sweeps=100):
+def _lloyd(x, k, rng):
     """k centers via a farthest-point start, then plain Lloyd sweeps."""
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
@@ -325,7 +327,7 @@ def _lloyd(x, k, rng, max_sweeps=100):
         centers[j] = x[int(np.argmax(d2))]
         d2 = np.minimum(d2, _sq_dists(x, centers[j:j + 1])[:, 0])
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_sweeps):
+    for _ in range(LLOYD_SWEEPS):
         new_labels = _sq_dists(x, centers).argmin(axis=1)
         for j in range(k):
             mask = new_labels == j

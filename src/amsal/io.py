@@ -45,8 +45,8 @@ from .driver import AmsalConfig, alignment_accuracy, run_amsal
 from .errors import FormatError, InvalidInput
 from .linalg import _as_index_map, as_matrix
 from .metrics import EvalReport, accuracy, f1_macro, mae, mae_gap, tpr_gap_rms
-from .removal import (INLP, INLP_ROUNDS, SAL, Eraser, apply_eraser, fit_inlp,
-                      fit_logistic_probe, fit_sal)
+from .removal import (INLP, INLP_ROUNDS, SAL, Eraser, _check_rank, _check_rounds,
+                      apply_eraser, fit_inlp, fit_logistic_probe, fit_sal)
 
 MATRIX_MAGIC = b"AMSL"
 ERASER_MAGIC = b"AMSE"
@@ -369,7 +369,7 @@ def _rank(text):
 
 
 def _priors(text):
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    return tuple(float(tok) for tok in text.split(",")) if text.strip() else ()
 
 
 # parsers of the config values that are not strings
@@ -385,10 +385,23 @@ _PARSERS = {
 }
 
 
-def _refused(key, message):
-    """InvalidInput(message) about the config key `key`; from_file puts the
-    file and the line that set the key in front."""
-    exc = InvalidInput(message)
+# the checks of the calls that each config value reaches, run on the value
+# alone; an unset removal_rank or inlp_rounds is None
+_CHECKS = {
+    "priors": lambda v: v and bounds_from_priors(v, 1, PRIOR_SLACK),
+    "slack": lambda v: bounds_from_priors([1.0], 1, v),
+    "max_iterations": lambda v: AmsalConfig(max_iterations=v),
+    "num_seeds": lambda v: AmsalConfig(num_seeds=v),
+    "score_k": lambda v: AmsalConfig(score_k=v),
+    "removal_rank": lambda v: v is None or _check_rank(v, name="removal_rank"),
+    "inlp_rounds": lambda v: v is None or _check_rounds(v, name="inlp_rounds"),
+}
+
+
+def _refused(key, message, kind=InvalidInput):
+    """kind(message) about the config key `key`; from_file puts the file
+    and the line that set the key in front."""
+    exc = kind(message)
     exc.key = key
     return exc
 
@@ -432,6 +445,11 @@ class PipelineConfig:
         if self.y_kind == "none" and self.y:
             raise _refused("y", f"y = {self.y} is given but y_kind = none would ignore it; "
                                 "set y_kind to classification or regression")
+        for key, check in _CHECKS.items():
+            try:
+                check(getattr(self, key))
+            except InvalidInput as exc:
+                raise _refused(key, str(exc)) from None
 
     @classmethod
     def from_file(cls, path):
@@ -455,17 +473,18 @@ class PipelineConfig:
                 values[key] = value.strip()
         try:
             return cls.from_values(values, source=str(path))
-        except InvalidInput as exc:
+        except (InvalidInput, FormatError) as exc:
             key = getattr(exc, "key", None)
             if key not in lines:
                 raise
-            raise InvalidInput(f"{path}: line {lines[key]}: {exc}") from None
+            raise type(exc)(f"{path}: line {lines[key]}: {exc}") from None
 
     @classmethod
     def from_values(cls, values, source="config"):
         """Settings from a key -> text mapping; keys left out keep their
         defaults. FormatError names an unknown key, a missing or empty
-        required key, or a value that does not parse."""
+        required key (after `source`), or the key of a value that does not
+        parse."""
         known = dataclasses.fields(cls)
         names = {f.name for f in known}
         for key in values:
@@ -479,7 +498,7 @@ class PipelineConfig:
             try:
                 parsed[key] = _PARSERS.get(key, str)(text)
             except ValueError as exc:
-                raise FormatError(f"{source}: bad field value for {key!r}: {exc}") from None
+                raise _refused(key, f"bad field value for {key!r}: {exc}", FormatError) from None
         return cls(**parsed)
 
 
@@ -519,17 +538,18 @@ def align(x, records, cfg, out, truth=None):
     return result
 
 
-def erase(x, pi, method, out, fmt, records=None, rank="auto", max_rounds=INLP_ROUNDS):
-    """Fit a SAL (uses records and rank) or INLP (uses max_rounds) eraser
-    under the map pi, apply it to x, and write eraser.bin and
-    x_erased.<fmt> under out; returns the erased matrix."""
+def erase(x, pi, method, out, fmt, records=None, rank=None, max_rounds=None):
+    """Fit a SAL (uses records and rank, "auto" if None) or INLP (uses
+    max_rounds, INLP_ROUNDS if None) eraser under the map pi, apply it to
+    x, and write eraser.bin and x_erased.<fmt> under out; returns the
+    erased matrix."""
     out = output_dir(out)
     if method == SAL:
         if records is None:
             raise InvalidInput("sal removal requires the guarded records")
-        eraser = fit_sal(x, records, pi, rank)
+        eraser = fit_sal(x, records, pi, "auto" if rank is None else rank)
     else:
-        eraser = fit_inlp(x, pi.map, max_rounds)
+        eraser = fit_inlp(x, pi.map, INLP_ROUNDS if max_rounds is None else max_rounds)
     erased = apply_eraser(eraser, x)
     save_eraser(eraser, out / "eraser.bin")
     save_matrix(erased, out / f"x_erased.{fmt}", fmt=fmt)
@@ -570,6 +590,8 @@ def run_pipeline(cfg):
     erased inputs; for regression, least squares with an intercept.
     """
     x, records, amsal_cfg, truth = load_align_inputs(cfg)
+    if cfg.removal_rank is not None:
+        _check_rank(cfg.removal_rank, x.shape[1], name="removal_rank")
     if cfg.y_kind != "none":
         y = load_labels(cfg.y) if cfg.y_kind == "classification" else load_values(cfg.y)
         if y.size != len(x):
@@ -579,9 +601,8 @@ def run_pipeline(cfg):
             if classes.size < 2:
                 raise InvalidInput(f"{cfg.y}: every label is {classes[0]}; need 2 classes or more")
     result = align(x, records, amsal_cfg, cfg.output_dir, truth)
-    given = (("rank", cfg.removal_rank), ("max_rounds", cfg.inlp_rounds))
     erased = erase(x, result.assignment, cfg.removal, cfg.output_dir, BIN, records=records,
-                   **{key: value for key, value in given if value is not None})
+                   rank=cfg.removal_rank, max_rounds=cfg.inlp_rounds)
 
     align_acc = alignment_accuracy(result.assignment, truth) if truth is not None else None
     report = EvalReport(alignment_accuracy=align_acc)

@@ -114,12 +114,26 @@ def fit_sal(x, records, pi, r="auto"):
         if rank == 0:
             raise InvalidInput("cross-covariance is zero; nothing to remove")
         r = min(rank, records.dim)
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise InvalidInput(f"r must be a positive count or 'auto', got {r!r}")
-    if r >= d:
-        raise InvalidInput(f"cannot remove r={r} of d={d} directions")
+    _check_rank(r, d)
     directions, _ = _fix_signs(u_full[:, :r])
     return Eraser(kind=SAL, input_means=means, directions=directions, iterations=0)
+
+
+def _check_rank(r, d=None, name="r"):
+    """Refuse a SAL rank `name` that is neither "auto" nor a count in
+    [1, d) (any positive count where d is None)."""
+    if r == "auto":
+        return
+    if not isinstance(r, (int, np.integer)) or r < 1:
+        raise InvalidInput(f"{name} must be a positive count or 'auto', got {r!r}")
+    if d is not None and r >= d:
+        raise InvalidInput(f"cannot remove {name}={r} of d={d} directions")
+
+
+def _check_rounds(max_rounds, name="max_rounds"):
+    """Refuse a negative INLP round cap `name`."""
+    if max_rounds < 0:
+        raise InvalidInput(f"{name} must be non-negative, got {max_rounds}")
 
 
 def fit_inlp(x, z_labels, max_rounds):
@@ -139,8 +153,7 @@ def fit_inlp(x, z_labels, max_rounds):
     classes, y = np.unique(y, return_inverse=True)
     if classes.size < 2:
         raise InvalidInput("nullspace removal needs at least 2 classes")
-    if max_rounds < 0:
-        raise InvalidInput("max_rounds must be non-negative")
+    _check_rounds(max_rounds)
     n, d = x.shape
     x_c, means = center_columns(x)
     majority = float(np.bincount(y).max()) / n

@@ -144,7 +144,8 @@ def test_lex_refine_maps_every_optimum_to_the_brute_force_map(instance):
         duals.append(amsal.assignment._initial_optimum(c, pi, phi, lower, upper)[1])
     for phi in duals:
         for pi in optima:
-            refined = amsal.assignment._lex_refine(c, pi.copy(), phi, lower, upper)
+            refined = amsal.assignment._lex_refine(c, pi.copy(), phi, lower, upper,
+                                                   *amsal.assignment._arc_table(c, pi))
             np.testing.assert_array_equal(refined, expected)
 
 
@@ -275,8 +276,64 @@ def test_repair_duals_certify_its_map(instance):
     lower, upper = records.lower_bounds, records.upper_bounds
     # the start prices as solve_assignment clips them onto the cost grid
     phi = np.clip(phi, -2**40, 2**40)
-    pi, phi = amsal.assignment._initial_optimum(c, (c - phi).argmax(axis=1), phi, lower, upper)
+    pi, phi, W, witness = amsal.assignment._initial_optimum(
+        c, (c - phi).argmax(axis=1), phi, lower, upper)
     _assert_certifies(c, pi, phi, lower, upper)
+    # the residual graph at the returned duals has no negative arc
+    counts = np.bincount(pi, minlength=records.m)
+    assert amsal.assignment._lengths(W, witness, np.append(phi, 0), counts, lower, upper).min() >= 0
+
+
+@st.composite
+def _length_graphs(draw):
+    """Non-negative int64 arc lengths on up to 9 nodes, with many ties and
+    many _FAR entries (no arc), and masks of source and stop nodes."""
+    k = draw(st.integers(1, 9))
+    far = amsal.assignment._FAR
+    entry = st.one_of(st.integers(0, 3), st.integers(0, 2**41), st.just(far))
+    length = np.array(draw(st.lists(entry, min_size=k * k, max_size=k * k)),
+                      dtype=np.int64).reshape(k, k)
+    masks = st.lists(st.booleans(), min_size=k, max_size=k)
+    return length, np.array(draw(masks)), np.array(draw(masks))
+
+
+def _bellman_ford(length, sources):
+    """Shortest distances from the sources over the arcs shorter than _FAR
+    (None where a node is unreachable), in Python integers."""
+    k = length.shape[0]
+    dist = [0 if on else None for on in sources.tolist()]
+    for _ in range(k):
+        for u, v in itertools.product(range(k), repeat=2):
+            if dist[u] is not None and length[u, v] < amsal.assignment._FAR:
+                alt = dist[u] + int(length[u, v])
+                if dist[v] is None or alt < dist[v]:
+                    dist[v] = alt
+    return dist
+
+
+@settings(max_examples=300, deadline=None)
+@given(_length_graphs())
+def test_paths_settles_shortest_distances_up_to_the_nearest_stop_node(graph):
+    length, sources, stop = graph
+    dist, came, settled, t = amsal.assignment._paths(length, sources, stop)
+    oracle = _bellman_ford(length, sources)
+    reach = [v for v, d in enumerate(oracle) if d is not None]
+    reached_stops = [v for v in reach if stop[v]]
+    if t < 0:
+        assert not reached_stops
+        assert np.flatnonzero(settled).tolist() == reach
+    else:
+        assert stop[t] and oracle[t] == min(oracle[v] for v in reached_stops)
+        assert not np.any(settled & stop) and not settled[t]
+        # every node nearer than t is settled, and no node farther than t
+        assert all(settled[v] for v in reach if oracle[v] < oracle[t])
+        assert all(oracle[v] <= oracle[t] for v in np.flatnonzero(settled))
+    for v in np.flatnonzero(settled).tolist() + ([t] if t >= 0 else []):
+        assert dist[v] == oracle[v]
+        # came walks back to a source along arcs that add up to dist
+        path = amsal.assignment._walk(came, v)
+        assert sources[path[-1]]
+        assert sum(int(length[u, w]) for w, u in zip(path, path[1:])) == dist[v]
 
 
 def _dense_arcs(c, pi):
@@ -382,7 +439,8 @@ def test_a_certified_price_start_leaves_the_lex_refine_nothing_to_move(instance)
     counts = np.bincount(pi, minlength=lower.size)
     assume(np.all((counts >= lower) & (counts <= upper)
                   & ((phi <= 0) | (counts == upper)) & ((phi >= 0) | (counts == lower))))
-    refined = amsal.assignment._lex_refine(c, pi.copy(), phi, lower, upper)
+    refined = amsal.assignment._lex_refine(c, pi.copy(), phi, lower, upper,
+                                           *amsal.assignment._arc_table(c, pi))
     np.testing.assert_array_equal(refined, pi)
 
 
@@ -462,7 +520,7 @@ def test_two_records_beyond_former_size_cap():
 
 
 def test_out_of_bounds_solver_output_raises(monkeypatch):
-    def refine(c, pi, phi, lower, upper):
+    def refine(c, pi, phi, lower, upper, W, witness):
         return 0 * pi
 
     monkeypatch.setattr(amsal.assignment, "_lex_refine", refine)

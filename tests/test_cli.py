@@ -462,3 +462,36 @@ def test_align_empty_path_exits_2_naming_the_key(tmp_path, capsys, flag, key):
     err = capsys.readouterr().err
     assert f"error: InvalidInput: {key} must name a " in err and "got an empty path" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("removal = inlp\ninlp_rounds = -2\n", "line 5: inlp_rounds must be non-negative, got -2"),
+    ("removal_rank = 0\n", "line 4: removal_rank must be a positive count or 'auto', got 0"),
+    ("num_seeds = 0\n", "line 4: num_seeds must be at least 1"),
+    ("max_iterations = -1\n", "line 4: max_iterations must be at least 1"),
+    ("score_k = 0\n", "line 4: score_k must be a positive count or 'full'"),
+    ("slack = 1.5\n", "line 4: slack must be in [0, 1), got 1.5"),
+    ("priors = 0.5,,0.5\n", "line 4: bad field value for 'priors'"),
+], ids=["inlp_rounds", "removal_rank", "num_seeds", "max_iterations", "score_k", "slack",
+        "priors"])
+def test_pipeline_bad_config_value_exits_2_naming_its_line_before_any_output(
+        tmp_path, capsys, body, message):
+    data = _synth(tmp_path, n=60)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"x = {data / 'x.bin'}\nrecords = {data / 'z_records.bin'}\n"
+                   f"output_dir = {tmp_path / 'out'}\n{body}")
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_removal_rank_of_d_exits_2_before_any_output(tmp_path, capsys):
+    data = _synth(tmp_path, n=60)  # x has d = 8 columns
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"x = {data / 'x.bin'}\nrecords = {data / 'z_records.bin'}\n"
+                   f"output_dir = {tmp_path / 'out'}\nremoval_rank = 8\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: InvalidInput: cannot remove removal_rank=8 of d=8 directions" in err
+    assert not (tmp_path / "out").exists()
