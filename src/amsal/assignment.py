@@ -20,10 +20,10 @@ against a slack node whose potential absorbs the bound slack.
    first tight record, the smallest optimum already.
 2. Otherwise one residual graph serves a repair and a refine. Its nodes
    are the records plus a slack node for the bound slack; arc u -> v
-   carries the best gain of moving a single input from u to v (two m x m
-   arrays, built by `_arc_table` and kept current by `_move`), and
-   `_lengths` gives every arc its length under node potentials. One
-   dense Dijkstra (`_paths`) searches it in both phases.
+   carries the best gain of moving a single input from u to v (int64
+   m x m gains W and witnesses, built by `_arc_table` and kept current
+   by `_move`), and `_lengths` gives every arc its length under node
+   potentials. One dense Dijkstra (`_paths`) searches it in both phases.
    `_initial_optimum` repairs the bounds by successive shortest paths
    (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9; Edmonds & Karp,
    1972), with the prices as potentials, so once the bounds hold they are
@@ -34,8 +34,8 @@ against a slack node whose potential absorbs the bound slack.
    prices lead to the same result; better ones only leave less to repair.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
-optimality reasoning below is exact integer arithmetic on those costs,
-prices and path lengths. Prices handed between solves are in score
+optimality reasoning below is exact int64 arithmetic on those costs,
+prices, gains and path lengths. Prices handed between solves are in score
 units, so each solve puts them on its own grid.
 """
 
@@ -235,11 +235,12 @@ def _arc_table(c, pi):
     """The arc table of the record graph under the map pi, which the
     repair and the lex refine both read.
 
-    W[u, v] is the best gain c[i, v] - c[i, u] over the inputs i in
-    record u (-inf where there is none and on the diagonal), and
-    witness[u, v] the largest input that attains it (-1 where there is
-    none). One stable sort of pi lays the inputs out in record blocks, and
-    a reduction over each block gives both tables.
+    witness[u, v] >= 0 marks an arc: the largest input in record u that
+    attains the best gain W[u, v] of c[i, v] - c[i, u] over the inputs i
+    in u. Where there is no arc (no input in u, and on the diagonal)
+    witness is -1 and W[u, v] means nothing. One stable sort of pi lays
+    the inputs out in record blocks, and a reduction over each block
+    gives both int64 tables.
     """
     m = c.shape[1]
     order = np.argsort(pi, kind="stable")
@@ -250,11 +251,10 @@ def _arc_table(c, pi):
     gains = c[order] - c[order, blocks, None]
     top = np.maximum.reduceat(gains, starts)
     attains = gains == np.repeat(top, counts[held], axis=0)
-    W = np.full((m, m), -np.inf)
+    W = np.zeros((m, m), dtype=np.int64)
     witness = np.full((m, m), -1, dtype=np.int64)
     W[held] = top
     witness[held] = np.maximum.reduceat(np.where(attains, order[:, None], -1), starts)
-    np.fill_diagonal(W, -np.inf)
     np.fill_diagonal(witness, -1)
     return W, witness
 
@@ -262,8 +262,8 @@ def _arc_table(c, pi):
 def _move(c, pi, W, witness, i, v):
     """Reassign input i to record v and update its arc table W, witness:
     only the arcs out of i's old record that i witnessed are read again,
-    and row v takes i's gains where they are larger, or equal and i is
-    the larger input."""
+    and row v takes i's gains where it has no arc, a smaller gain, or an
+    equal one and i is the larger input."""
     u = pi[i]
     pi[i] = v
     stale = np.flatnonzero(witness[u] == i)
@@ -275,10 +275,10 @@ def _move(c, pi, W, witness, i, v):
             W[u, stale] = g[best, np.arange(stale.size)]
             witness[u, stale] = members[best]
         else:
-            W[u, stale] = -np.inf
             witness[u, stale] = -1
     g = c[i] - c[i, v]
-    up = g >= W[v] + (witness[v] > i)  # integer gains: a tie goes to the larger input
+    # integer gains: a tie goes to the larger input
+    up = (witness[v] < 0) | (g >= W[v] + (witness[v] > i))
     up[v] = False
     W[v, up] = g[up]
     witness[v, up] = i
@@ -353,17 +353,16 @@ def _lengths(W, witness, p, f, lower, upper):
     graph on the m records plus a slack node m, under node potentials p
     and the slack flow f (_FAR where there is no arc).
 
-    Arc u -> v moves input witness[u, v] at gain W[u, v]; u -> m raises
-    f[u] below upper[u] and m -> u lowers it above lower[u], at gain 0.
+    Arc u -> v, where witness[u, v] >= 0, moves that input at gain
+    W[u, v]; u -> m raises f[u] below upper[u] and m -> u lowers it above
+    lower[u], at gain 0.
     """
     m = W.shape[0]
-    length = np.empty((m + 1, m + 1), dtype=np.int64)
-    held = witness >= 0
-    np.subtract(p[:m], p[:m, None], out=length[:m, :m])
-    length[:m, :m][held] -= W[held].astype(np.int64)
-    length[:m, :m][~held] = _FAR
+    length = np.full((m + 1, m + 1), _FAR)
+    # in place: np.where would allocate one more (m, m) array per call
+    np.copyto(length[:m, :m], p[:m] - p[:m, None] - W, where=witness >= 0)
     length[:m, m] = np.where(f < upper, p[m] - p[:m], _FAR)
-    length[m] = np.append(np.where(f > lower, p[:m] - p[m], _FAR), _FAR)
+    length[m, :m] = np.where(f > lower, p[:m] - p[m], _FAR)
     return length
 
 
@@ -434,7 +433,7 @@ def _initial_optimum(c, pi, phi, lower, upper):
         # tight: augment along it until it is not, or an end is balanced
         while excess[path[0]] > 0 > excess[t] and all(
                 f[u] < upper[u] if v == m else f[v] > lower[v] if u == m
-                else W[u, v] == p[v] - p[u] for u, v in arcs):
+                else witness[u, v] >= 0 and W[u, v] == p[v] - p[u] for u, v in arcs):
             # one input per record arc; slack arcs alone move as much
             # count as their bounds and the path's ends allow
             unit = min(excess[path[0]], -excess[t])

@@ -20,7 +20,7 @@ from . import io as aio
 from .assignment import PRIOR_SLACK
 from .driver import AmsalConfig, alignment_accuracy
 from .errors import AmsalError, InvalidInput
-from .removal import INLP_ROUNDS
+from .removal import INLP_ROUNDS, _check_rank
 from .synthetic import LatentSpec, as_records, generate_latent
 
 
@@ -74,6 +74,8 @@ def _cmd_erase(args):
         if value is not None:
             raise InvalidInput(f"{flag} does not apply to --method {args.method}")
     x = aio.load_matrix(args.x)
+    if args.rank is not None:
+        _check_rank(args.rank, x.shape[1], name="--rank")
     # SAL reads only the record rows, so their count bounds are the defaults
     records = (aio.guarded_records(aio.load_matrix(args.records), x.shape[0], None, PRIOR_SLACK)
                if args.records else None)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .assignment import PRIOR_SLACK, Assignment, GuardedRecords, bounds_from_priors
 from .driver import AmsalConfig, alignment_accuracy, run_amsal
-from .errors import FormatError, InvalidInput
+from .errors import AmsalError, FormatError, InvalidInput
 from .linalg import _as_index_map, as_matrix
 from .metrics import EvalReport, accuracy, f1_macro, mae, mae_gap, tpr_gap_rms
 from .removal import (INLP, INLP_ROUNDS, SAL, Eraser, _check_rank, _check_rounds,
@@ -93,6 +93,26 @@ def output_dir(path):
     except OSError as exc:
         raise InvalidInput(f"{path}: {exc.strerror}") from None
     return Path(path)
+
+
+@contextmanager
+def _stage_output(path):
+    """A stage's output directory path, created up front so that an
+    unusable path fails before the stage runs. If the stage raises an
+    AmsalError before writing a file, the directories this call created
+    are removed again, so a refusal leaves nothing behind."""
+    path = Path(path)
+    created = [d for d in (path, *path.parents) if not os.path.exists(d)]  # deepest first
+    out = output_dir(path)
+    try:
+        yield out
+    except AmsalError:
+        for d in created:
+            try:
+                d.rmdir()
+            except OSError:  # a file was written
+                break
+        raise
 
 
 @contextmanager
@@ -530,29 +550,30 @@ def load_align_inputs(cfg):
 
 def align(x, records, cfg, out, truth=None):
     """run_amsal, then write assignment.csv and trace.csv under out (created
-    first, so an unusable out fails before the search)."""
-    out = output_dir(out)
-    result = run_amsal(x, records, cfg, truth=truth)
-    save_assignment(result.assignment, out / "assignment.csv")
-    save_trace(result.trace, out / "trace.csv")
+    first, so an unusable out fails before the search, and removed again
+    if the search refuses)."""
+    with _stage_output(out) as out:
+        result = run_amsal(x, records, cfg, truth=truth)
+        save_assignment(result.assignment, out / "assignment.csv")
+        save_trace(result.trace, out / "trace.csv")
     return result
 
 
 def erase(x, pi, method, out, fmt, records=None, rank=None, max_rounds=None):
     """Fit a SAL (uses records and rank, "auto" if None) or INLP (uses
     max_rounds, INLP_ROUNDS if None) eraser under the map pi, apply it to
-    x, and write eraser.bin and x_erased.<fmt> under out; returns the
-    erased matrix."""
-    out = output_dir(out)
-    if method == SAL:
-        if records is None:
-            raise InvalidInput("sal removal requires the guarded records")
-        eraser = fit_sal(x, records, pi, "auto" if rank is None else rank)
-    else:
-        eraser = fit_inlp(x, pi.map, INLP_ROUNDS if max_rounds is None else max_rounds)
-    erased = apply_eraser(eraser, x)
-    save_eraser(eraser, out / "eraser.bin")
-    save_matrix(erased, out / f"x_erased.{fmt}", fmt=fmt)
+    x, and write eraser.bin and x_erased.<fmt> under out (created first,
+    and removed again if the fit refuses); returns the erased matrix."""
+    with _stage_output(out) as out:
+        if method == SAL:
+            if records is None:
+                raise InvalidInput("sal removal requires the guarded records")
+            eraser = fit_sal(x, records, pi, "auto" if rank is None else rank)
+        else:
+            eraser = fit_inlp(x, pi.map, INLP_ROUNDS if max_rounds is None else max_rounds)
+        erased = apply_eraser(eraser, x)
+        save_eraser(eraser, out / "eraser.bin")
+        save_matrix(erased, out / f"x_erased.{fmt}", fmt=fmt)
     return erased
 
 

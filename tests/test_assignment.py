@@ -336,16 +336,58 @@ def test_paths_settles_shortest_distances_up_to_the_nearest_stop_node(graph):
         assert sum(int(length[u, w]) for w, u in zip(path, path[1:])) == dist[v]
 
 
+@st.composite
+def _arc_tables(draw):
+    """An int64 arc table W, witness on up to 8 records, some of them
+    empty (a row of -1 witnesses) and with -1 witnesses elsewhere, node
+    potentials up to +-2^41 and a slack flow f on or inside its bounds."""
+    def ints(lo, hi, size):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)),
+                        dtype=np.int64)
+
+    m = draw(st.integers(1, 8))
+    W = ints(-2**34, 2**34, m * m).reshape(m, m)
+    witness = ints(-1, 20, m * m).reshape(m, m)
+    witness[np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))] = -1
+    p = ints(-2**41, 2**41, m + 1)
+    lower = ints(0, 3, m)
+    upper = lower + ints(0, 3, m)
+    f = lower + np.array([draw(st.integers(0, int(k))) for k in upper - lower], dtype=np.int64)
+    return W, witness, p, f, lower, upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arc_tables())
+def test_lengths_match_a_per_arc_loop(table):
+    W, witness, p, f, lower, upper = table
+    m, far = W.shape[0], amsal.assignment._FAR
+    expected = [[far] * (m + 1) for _ in range(m + 1)]
+    for u in range(m):
+        for v in range(m):
+            if witness[u, v] >= 0:
+                expected[u][v] = int(p[v]) - int(p[u]) - int(W[u, v])
+        if f[u] < upper[u]:
+            expected[u][m] = int(p[m]) - int(p[u])
+        if f[u] > lower[u]:
+            expected[m][u] = int(p[u]) - int(p[m])
+    length = amsal.assignment._lengths(W, witness, p, f, lower, upper)
+    assert length.dtype == np.int64
+    assert length.tolist() == expected
+
+
 def _dense_arcs(c, pi):
-    """Per record pair (u, v), the largest c[i, v] - c[i, u] over the inputs in u."""
+    """Per record pair (u, v), whether u holds an input (u != v), and the
+    largest c[i, v] - c[i, u] over the inputs in u (0 where there is none)."""
     m = c.shape[1]
-    W = np.full((m, m), -np.inf)
+    arc = np.zeros((m, m), dtype=bool)
+    W = np.zeros((m, m), dtype=np.int64)
     for u in range(m):
         rows = np.flatnonzero(pi == u)
         for v in range(m):
             if v != u and rows.size:
+                arc[u, v] = True
                 W[u, v] = (c[rows, v] - c[rows, u]).max()
-    return W
+    return arc, W
 
 
 def test_move_gains_arc_table_matches_dense_maximum():
@@ -366,14 +408,17 @@ def test_move_gains_arc_table_matches_dense_maximum():
 
 
 def _assert_arc_table(c, pi, W, witness):
-    """W holds the dense best gains, and each witness is the largest input
-    that attains its gain (-1 where there is no arc)."""
-    np.testing.assert_array_equal(W, _dense_arcs(c, pi))
-    for u, v in zip(*np.nonzero(np.isfinite(W))):
+    """W holds the dense best int64 gains where there is an arc, and each
+    witness is the largest input that attains its gain (-1 exactly where
+    there is no arc)."""
+    arc, best = _dense_arcs(c, pi)
+    assert W.dtype == np.int64 and witness.dtype == np.int64
+    np.testing.assert_array_equal(W[arc], best[arc])
+    for u, v in zip(*np.nonzero(arc)):
         members = np.flatnonzero(pi == u)
         tied = members[c[members, v] - c[members, u] == W[u, v]]
         assert witness[u, v] == tied[-1]  # ties go to the largest index
-    assert np.all(witness[~np.isfinite(W)] == -1)
+    assert np.all(witness[~arc] == -1)
 
 
 @st.composite

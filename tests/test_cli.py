@@ -495,3 +495,38 @@ def test_pipeline_removal_rank_of_d_exits_2_before_any_output(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: InvalidInput: cannot remove removal_rank=8 of d=8 directions" in err
     assert not (tmp_path / "out").exists()
+
+
+def _stage_refusal(tmp_path, case):
+    """argv and expected message of a refusal inside the align or erase stage."""
+    if case == "align-overflow":
+        rng = np.random.default_rng(5)
+        save_matrix(1e200 * rng.standard_normal((40, 4)), tmp_path / "x.bin")
+        save_matrix(1e200 * rng.standard_normal((2, 3)), tmp_path / "z.bin")
+        return (["align", "--x", str(tmp_path / "x.bin"), "--records", str(tmp_path / "z.bin")],
+                "the cross-covariance of x and the records overflows")
+    data = _synth(tmp_path, n=60)  # x has d = 8 columns
+    argv = ["erase", "--method", "sal", "--x", str(data / "x.bin"),
+            "--assignment", str(data / "truth.csv")]
+    if case == "erase-rank":
+        return (argv + ["--records", str(data / "z_records.bin"), "--rank", "8"],
+                "error: InvalidInput: cannot remove --rank=8 of d=8 directions")
+    return argv, "error: InvalidInput: sal removal requires the guarded records"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["align-overflow", "erase-rank", "erase-no-records"])
+def test_stage_refusal_exits_2_and_leaves_no_output_directory(tmp_path, capsys, case):
+    argv, message = _stage_refusal(tmp_path, case)
+    assert main(argv + ["--out", str(tmp_path / "out" / "run")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_stage_refusal_keeps_an_output_directory_it_did_not_create(tmp_path, capsys):
+    argv, message = _stage_refusal(tmp_path, "erase-no-records")
+    (tmp_path / "out").mkdir()
+    assert main(argv + ["--out", str(tmp_path / "out" / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
