@@ -10,14 +10,17 @@ against a slack node whose potential absorbs the bound slack.
 
 1. `_price_start` takes the row-wise argmax of c - phi from given start
    prices: zero for a cold solve, or the previous A-step's optimal duals
-   when the driver solves a sequence of nearby problems. One vectorized
-   pass re-prices each record that breaks complementary slackness (a
+   when the driver solves a sequence of nearby problems. A pass in index
+   order re-prices each record that breaks complementary slackness (a
    dual start in the spirit of auction methods for transportation
-   problems; Bertsekas & Castanon, 1989). If every count then equals its
-   `_slack_flow` (on its upper bound where phi > 0, its lower bound where
-   phi < 0, else within its bounds), the map is optimal, the prices are
-   optimal duals, and the solve is done: the map puts every input at its
-   first tight record, the smallest optimum already.
+   problems; Bertsekas & Castanon, 1989). A later price can push an
+   earlier record out again, so a second pass takes up what the first
+   left; more passes certify few more solves, each at a further cost. If
+   every count then equals its `_slack_flow` (on its upper bound where
+   phi > 0, its lower bound where phi < 0, else within its bounds), the
+   map is optimal, the prices are optimal duals, and the solve is done:
+   the map puts every input at its first tight record, the smallest
+   optimum already.
 2. Otherwise one residual graph serves a repair and a refine. Its nodes
    are the records plus a slack node for the bound slack; arc u -> v
    carries the best gain of moving a single input from u to v (int64
@@ -30,7 +33,9 @@ against a slack node whose potential absorbs the bound slack.
    optimal duals. `_lex_refine` then rewrites that optimum into the
    lexicographically smallest optimal map, so results do not depend on
    how it was reached: at the optimal duals the zero-length arcs are the
-   tight edges along which inputs may move to smaller records. Any start
+   tight edges along which inputs may move to smaller records, and it
+   searches only where the strongly connected components of those arcs
+   (Tarjan, 1972) allow a move. Any start
    prices lead to the same result; better ones only leave less to repair.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
@@ -294,9 +299,10 @@ def _shift(c, pi, W, witness, path):
 
 
 def _price_start(c, lower, upper, phi):
-    """Start map argmax(c - phi) and the record prices phi that produced it.
+    """Start map argmax(c - phi) (the first record on ties) and the record
+    prices phi that produced it, from start prices within +-2^40.
 
-    The prices start at the given phi. One pass in index order visits
+    The prices start at the given phi. Two passes in index order visit
     each record j that breaks complementary slackness under argmax(c -
     phi): its count is outside its bounds, or inside them with phi[j] > 0
     below the upper bound or phi[j] < 0 above the lower bound. A record
@@ -304,42 +310,58 @@ def _price_start(c, lower, upper, phi):
     its bounds. Otherwise phi[j] is set from the gains g = c[:, j] - max
     over l != j of (c[:, l] - phi[l]): one above the (upper[j] + 1)-th
     largest gain when j holds too many inputs, one below the lower[j]-th
-    largest when too few, so j's count lands on that bound (or inside it,
-    where gains tie). Later prices can push an earlier record out again;
-    the bound repair fixes whatever is left.
+    largest when too few, so j's count lands on that bound (or near it,
+    where gains tie).
+
+    A later price can push an earlier record out again. The second pass
+    takes those records up once more, and the bound repair fixes whatever
+    is left. On the benchmark's align-multi jobs (32 instances, seed 5,
+    753 A-steps) one pass leaves 14.7 repairs per job and two leave 11.4,
+    while 3, 5 and 10 passes leave 11.0, 10.9 and 10.8 and each pass adds
+    to the price start's cost, so the passes stop at two.
+
+    The reduced costs are kept record-major, so the best other record of
+    every input is an elementwise max over m rows. A price change at j
+    reads the argmax again only for the inputs where j ties or beats
+    that best at the old or the new price; no other input's argmax can
+    change.
     """
     n, m = c.shape
     phi = np.array(phi, dtype=np.int64)
-    reduced = c - phi  # one column updated per price set
-    pi = reduced.argmax(axis=1)
-    counts = np.bincount(pi, minlength=m)
-    for j in range(m):
-        inside = lower[j] <= counts[j] <= upper[j]
-        if inside and (phi[j] <= 0 or counts[j] == upper[j]) and (
-                phi[j] >= 0 or counts[j] == lower[j]):
+    reduced = np.subtract(c.T, phi[:, None], order="C")  # one row updated per price set
+    phi = phi.tolist()
+    pi = reduced.argmax(axis=0)
+    counts = np.bincount(pi, minlength=m).tolist()
+
+    def set_price(j, price, g):
+        moved = (g >= min(phi[j], price)).nonzero()[0]
+        phi[j] = price
+        np.subtract(c[:, j], price, out=reduced[j])
+        pi[moved] = reduced[:, moved].argmax(axis=0)
+        return np.bincount(pi, minlength=m).tolist()
+
+    for j in [*range(m), *range(m)]:
+        count, price = counts[j], phi[j]
+        inside = lower[j] <= count <= upper[j]
+        if inside and (price <= 0 or count == upper[j]) and (price >= 0 or count == lower[j]):
             continue
+        # the masked row never attains a maximum for m >= 2; for m = 1
+        # (one record holds all n inputs, within its bounds, so only the
+        # sign can be wrong) every gain is about _FAR and price 0 holds
+        reduced[j] = -_FAR
+        g = c[:, j] - reduced.max(axis=0)
         if inside:  # a price of the wrong sign
-            phi[j] = 0
-            reduced[:, j] = c[:, j]
-            pi = reduced.argmax(axis=1)
-            counts = np.bincount(pi, minlength=m)
+            counts = set_price(j, 0, g)
             if lower[j] <= counts[j] <= upper[j]:
                 continue
-        # m >= 2 here (a single record holds all n inputs, within its
-        # bounds, and price 0 leaves it there), so the masked column
-        # never attains a row maximum
-        reduced[:, j] = np.iinfo(np.int64).min
-        g = c[:, j] - reduced.max(axis=1)
         if counts[j] > upper[j]:
             k = n - upper[j] - 1
-            phi[j] = np.partition(g, k)[k] + 1
+            price = int(np.partition(g, k)[k]) + 1
         else:
             k = n - lower[j]
-            phi[j] = np.partition(g, k)[k] - 1
-        reduced[:, j] = c[:, j] - phi[j]
-        pi = reduced.argmax(axis=1)
-        counts = np.bincount(pi, minlength=m)
-    return pi, phi
+            price = int(np.partition(g, k)[k]) - 1
+        counts = set_price(j, price, g)
+    return pi, np.array(phi, dtype=np.int64)
 
 
 def _slack_flow(phi, counts, lower, upper):
@@ -410,8 +432,9 @@ def _initial_optimum(c, pi, phi, lower, upper):
     Sources shift together and a deficit node's potential never moves, so
     each potential stays within a few path gains (at most m 2^33 each) of
     the start prices: within 2^40 on the grid, plus at most 2^34 for each
-    record `_price_start` re-prices. For m < 2^20 that is far below the
-    sentinel _FAR = 2^62, and a distance plus _FAR still fits int64.
+    price `_price_start` sets (at most two per record). For m < 2^20 that
+    is far below the sentinel _FAR = 2^62, and a distance plus _FAR still
+    fits int64.
     """
     n, m = c.shape
     pi = pi.copy()
@@ -479,33 +502,87 @@ def _lex_refine(c, pi, phi, lower, upper, W, witness):
     one arc each. An input already in its smallest tight record cannot
     move, and an input tight at one record only is never moved or used,
     so the search covers the inputs tight at two or more records.
+
+    A screen by the strongly connected components of the whole
+    zero-length graph (`_components`, labelled again after each move)
+    skips most searches and changes no result: i tight at b makes a -> b
+    a zero-length arc, as W[a, b] is at least i's gain, so b reaching a
+    in i's subgraph puts a and b in one component. Only the inputs tight
+    at some b < a in a's component are searched.
     """
     n, m = c.shape
     reduced = c - phi
     first_tight = reduced.argmax(axis=1)
     tight = reduced == reduced[np.arange(n), first_tight, None]
     multi = np.flatnonzero(np.count_nonzero(tight, axis=1) > 1)
-    if not np.any(pi[multi] != first_tight[multi]):
-        return pi
     p = np.append(phi, 0)
-    zero = _lengths(W, witness, p, np.bincount(pi, minlength=m), lower, upper) == 0
     nodes, never = np.arange(m + 1), np.zeros(m + 1, dtype=bool)
-    for i in multi.tolist():
-        a = int(pi[i])
-        if a == first_tight[i]:
-            continue
-        arcs = zero.copy()
-        arcs[:m, :m] &= witness > i
-        # reversed, so came[v] is the next node on a tight path from v to a
-        dist, came, _, _ = _paths(np.where(arcs.T, 0, _FAR), nodes == a, never)
-        reach = np.flatnonzero(tight[i, :a] & (dist[:a] == 0))
-        if not reach.size:
-            continue
-        b = int(reach[0])
-        _shift(c, pi, W, witness, _walk(came, b))
-        _move(c, pi, W, witness, i, b)
+    rest = multi  # the inputs not yet fixed
+    while rest.size:
         zero = _lengths(W, witness, p, np.bincount(pi, minlength=m), lower, upper) == 0
+        label = _components(zero)[:m]
+        at = pi[rest]
+        screen = tight[rest] & (label == label[at, None]) & (nodes[:m] < at[:, None])
+        for i in rest[screen.any(axis=1)].tolist():
+            a = int(pi[i])
+            arcs = zero.copy()
+            arcs[:m, :m] &= witness > i
+            # reversed, so came[v] is the next node on a tight path from v to a
+            dist, came, _, _ = _paths(np.where(arcs.T, 0, _FAR), nodes == a, never)
+            reach = np.flatnonzero(tight[i, :a] & (dist[:a] == 0))
+            if reach.size:
+                b = int(reach[0])
+                _shift(c, pi, W, witness, _walk(came, b))
+                _move(c, pi, W, witness, i, b)
+                rest = rest[rest > i]
+                break
+        else:
+            return pi
     return pi
+
+
+def _components(arcs):
+    """Strongly connected component labels of the graph whose arcs are
+    the True entries of the square boolean matrix arcs: Tarjan's
+    algorithm (1972), iterative, O(nodes + arcs)."""
+    k = arcs.shape[0]
+    out = [[] for _ in range(k)]
+    us, vs = np.nonzero(arcs)
+    for u, v in zip(us.tolist(), vs.tolist()):
+        out[u].append(v)
+    order = [-1] * k  # visit order, -1 before the visit
+    low = [0] * k
+    label = [-1] * k  # -1 while a node is on the stack or unvisited
+    stack, count, labels = [], 0, 0  # labels: the components closed so far
+    for root in range(k):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(out[root]))]
+        while work:
+            u, arcs_u = work[-1]
+            v = next(arcs_u, None)
+            if v is None:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[u])
+                if low[u] == order[u]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = labels
+                        if w == u:
+                            break
+                    labels += 1
+            elif order[v] < 0:
+                order[v] = low[v] = count
+                count += 1
+                stack.append(v)
+                work.append((v, iter(out[v])))
+            elif label[v] < 0:
+                low[u] = min(low[u], order[v])
+    return np.array(label)
 
 
 PRIOR_SLACK = 0.2  # default fractional slack around the prior counts

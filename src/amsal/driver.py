@@ -146,25 +146,34 @@ def random_feasible_assignment(records, n, rng):
     to the bound midpoints (capped at the upper bounds), then shuffle.
 
     Units are drawn as Generator.choice draws them, one uniform each
-    through the normalised cdf of the open records' weights, but in
-    chunks no larger than the least room left in an open record, so the
-    open set cannot change inside a chunk and the stream is consumed
-    unit by unit all the same.
+    through the normalised cdf of the open records' weights. All the
+    uniforms are drawn at once, and each chunk of them goes through the
+    cdf of the records open at its start: a chunk ends with the first
+    unit that fills a record, so the open set cannot change inside it,
+    and there are at most m + 1 chunks.
     """
     records.check_feasible(n)
     upper = records.upper_bounds
     counts = records.lower_bounds.copy()
     weights = (records.lower_bounds + upper) / 2.0
-    left = n - int(counts.sum())
-    while left > 0:
+    draws = rng.random(n - int(counts.sum()))
+    while draws.size:
         open_j = np.flatnonzero(counts < upper)
         w = weights[open_j]  # an open record has upper >= 1, so w.sum() > 0
         cdf = (w / w.sum()).cumsum()
         cdf /= cdf[-1]
-        k = min(left, int((upper[open_j] - counts[open_j]).min()))
-        picks = cdf.searchsorted(rng.random(k), side="right")
-        counts[open_j] += np.bincount(picks, minlength=open_j.size)
-        left -= k
+        picks = cdf.searchsorted(draws, side="right")
+        # the unit that fills record j is its room-th pick: the room-th
+        # entry of j's block in a stable sort of the picks by record
+        room = upper[open_j] - counts[open_j]
+        held = np.bincount(picks, minlength=open_j.size)
+        full = np.flatnonzero(held >= room)
+        cut = draws.size
+        if full.size:
+            order = np.argsort(picks, kind="stable")
+            cut = int(order[(np.cumsum(held) - held + room - 1)[full]].min()) + 1
+        counts[open_j] += np.bincount(picks[:cut], minlength=open_j.size)
+        draws = draws[cut:]
     slots = np.repeat(np.arange(records.m), counts)
     rng.shuffle(slots)
     return Assignment(slots)

@@ -337,6 +337,28 @@ def test_paths_settles_shortest_distances_up_to_the_nearest_stop_node(graph):
 
 
 @st.composite
+def _boolean_graphs(draw):
+    """Boolean adjacency matrices on 1 to 40 nodes, self-loops allowed,
+    from empty (density 0) to complete (density 1)."""
+    k = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((k, k)) < density
+
+
+@settings(max_examples=300, deadline=None)
+@given(_boolean_graphs())
+def test_components_match_a_brute_force_closure(arcs):
+    k = arcs.shape[0]
+    reach = arcs | np.eye(k, dtype=bool)
+    for t in range(k):  # Warshall's transitive closure
+        reach |= reach[:, t, None] & reach[t]
+    label = amsal.assignment._components(arcs)
+    assert label.shape == (k,)
+    np.testing.assert_array_equal(label[:, None] == label, reach & reach.T)
+
+
+@st.composite
 def _arc_tables(draw):
     """An int64 arc table W, witness on up to 8 records, some of them
     empty (a row of -1 witnesses) and with -1 witnesses elsewhere, node
@@ -502,6 +524,55 @@ def test_certified_start_skips_the_repair_and_path_searches():
     c = amsal.assignment._integer_costs(s)
     expected = _m2_oracle(c, records.lower_bounds, records.upper_bounds)
     np.testing.assert_array_equal(pi.map, expected)
+
+
+def test_the_screen_skips_every_search_that_cannot_move_an_input():
+    s = np.array([[-2, -1, 4, -1], [0, 1, 1, 3], [2, -3, 1, -1], [4, -5, -3, -4]], dtype=float)
+    records = _records(4, [0, 1, 0, 0], [0, 3, 1, 0])
+    lower, upper = records.lower_bounds, records.upper_bounds
+    c = amsal.assignment._integer_costs(s)
+    pi, phi = amsal.assignment._price_start(c, lower.tolist(), upper.tolist(),
+                                            np.zeros(4, dtype=np.int64))
+    counts = np.bincount(pi, minlength=4)
+    assert not np.array_equal(amsal.assignment._slack_flow(phi, counts, lower, upper), counts)
+    pi, phi, W, witness = amsal.assignment._initial_optimum(c, pi, phi, lower, upper)
+    reduced = c - phi
+    tight = reduced == reduced.max(axis=1, keepdims=True)
+    # an input tight at two records sits past its first one, so the
+    # refine does not return early, yet no search can move it
+    assert np.any((np.count_nonzero(tight, axis=1) > 1) & (pi != tight.argmax(axis=1)))
+    searches = mock.Mock(wraps=amsal.assignment._paths)
+    with mock.patch.object(amsal.assignment, "_paths", searches):
+        refined = amsal.assignment._lex_refine(c, pi.copy(), phi, lower, upper, W, witness)
+    assert searches.call_count == 0
+    np.testing.assert_array_equal(refined, reference_assignment(s, records))
+
+
+def test_a_second_pass_certifies_a_record_that_a_later_price_pushed_out():
+    # cold start: the first pass prices record 0 onto its bounds [2, 2] at
+    # a negative price, then record 1's price pushes a third input into
+    # it; the second pass prices record 0 again and certifies the map
+    s = np.array([[-1, -9, -6], [-7, 6, -1], [-6, 9, -5], [-7, -8, -3], [-5, -6, 4],
+                  [-3, 4, -8]], dtype=float)
+    records = _records(3, [2, 1, 0], [2, 1, 3])
+    with mock.patch.object(amsal.assignment, "_initial_optimum") as repair:
+        pi = solve_assignment(s, records)
+    assert repair.call_count == 0
+    np.testing.assert_array_equal(pi.map, reference_assignment(s, records))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_priced_instances())
+def test_price_start_map_is_the_first_argmax_under_its_prices(instance):
+    """The invariant that certification rests on: the map holds every
+    input at its first record of largest c - phi."""
+    s, records, phi = instance
+    c = amsal.assignment._integer_costs(s)
+    lower, upper = records.lower_bounds, records.upper_bounds
+    # the start prices as solve_assignment clips them onto the cost grid
+    pi, phi = amsal.assignment._price_start(c, lower.tolist(), upper.tolist(),
+                                            np.clip(phi, -2**40, 2**40))
+    np.testing.assert_array_equal(pi, (c - phi).argmax(axis=1))
 
 
 def test_two_record_price_start_lands_inside_the_bounds():
