@@ -33,10 +33,12 @@ against a slack node whose potential absorbs the bound slack.
    optimal duals. `_lex_refine` then rewrites that optimum into the
    lexicographically smallest optimal map, so results do not depend on
    how it was reached: at the optimal duals the zero-length arcs are the
-   tight edges along which inputs may move to smaller records, and it
-   searches only where the strongly connected components of those arcs
-   (Tarjan, 1972) allow a move. Any start
-   prices lead to the same result; better ones only leave less to repair.
+   tight edges along which inputs may move to smaller records. An input
+   in record a is tight at b exactly when it attains W[a, b] on a
+   zero-length arc a -> b, and it can move only when b reaches a, which
+   puts a and b in one strongly connected component of those arcs
+   (Tarjan, 1972); the refine searches only such inputs. Any start prices
+   lead to the same result; better ones only leave less to repair.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
 optimality reasoning below is exact int64 arithmetic on those costs,
@@ -496,49 +498,46 @@ def _lex_refine(c, pi, phi, lower, upper, W, witness):
     potentials (phi, 0), with the counts as the slack flow): record arc
     u -> v has length 0 exactly when some input in u is tight at v, and
     its witness is then the largest such input, so u -> v is an arc of
-    input i's search exactly when that witness comes after i.
+    input i's search exactly when that witness comes after i. The smallest
+    such b wins, and the inputs on a path from b to a move one arc each.
 
-    The smallest such b wins, and the inputs on a path from b to a move
-    one arc each. An input already in its smallest tight record cannot
-    move, and an input tight at one record only is never moved or used,
-    so the search covers the inputs tight at two or more records.
-
-    A screen by the strongly connected components of the whole
-    zero-length graph (`_components`, labelled again after each move)
-    skips most searches and changes no result: i tight at b makes a -> b
-    a zero-length arc, as W[a, b] is at least i's gain, so b reaching a
-    in i's subgraph puts a and b in one component. Only the inputs tight
-    at some b < a in a's component are searched.
+    The ties are read off the same graph. i sits at a tight edge, so it
+    is tight at b exactly when its gain c[i, b] - c[i, a] equals phi[b] -
+    phi[a]; no gain out of a exceeds that, so then a -> b has length 0
+    and i attains W[a, b] on it. And b reaching a puts a and b in one
+    strongly connected component of the whole zero-length graph
+    (`_components`, labelled again after each move; Tarjan, 1972). So
+    only the inputs that attain W[a, b] on a zero-length arc a -> b with
+    b < a inside one component are searched, which skips most searches
+    and changes no result.
     """
-    n, m = c.shape
-    reduced = c - phi
-    first_tight = reduced.argmax(axis=1)
-    tight = reduced == reduced[np.arange(n), first_tight, None]
-    multi = np.flatnonzero(np.count_nonzero(tight, axis=1) > 1)
+    m = c.shape[1]
     p = np.append(phi, 0)
     nodes, never = np.arange(m + 1), np.zeros(m + 1, dtype=bool)
-    rest = multi  # the inputs not yet fixed
-    while rest.size:
+    fixed = -1  # the inputs up to here are fixed
+    while True:
         zero = _lengths(W, witness, p, np.bincount(pi, minlength=m), lower, upper) == 0
         label = _components(zero)[:m]
-        at = pi[rest]
-        screen = tight[rest] & (label == label[at, None]) & (nodes[:m] < at[:, None])
-        for i in rest[screen.any(axis=1)].tolist():
+        ties = zero[:m, :m] & (label == label[:, None]) & (nodes[:m] < nodes[:m, None])
+        later = fixed + 1 + np.flatnonzero(ties.any(axis=1)[pi[fixed + 1:]])
+        at = pi[later]
+        hits = ties[at] & (c[later] - c[later, at, None] == W[at])
+        keep = hits.any(axis=1)
+        for i, hit in zip(later[keep].tolist(), hits[keep]):
             a = int(pi[i])
             arcs = zero.copy()
             arcs[:m, :m] &= witness > i
             # reversed, so came[v] is the next node on a tight path from v to a
             dist, came, _, _ = _paths(np.where(arcs.T, 0, _FAR), nodes == a, never)
-            reach = np.flatnonzero(tight[i, :a] & (dist[:a] == 0))
+            reach = np.flatnonzero(hit[:a] & (dist[:a] == 0))
             if reach.size:
                 b = int(reach[0])
                 _shift(c, pi, W, witness, _walk(came, b))
                 _move(c, pi, W, witness, i, b)
-                rest = rest[rest > i]
+                fixed = i
                 break
         else:
             return pi
-    return pi
 
 
 def _components(arcs):

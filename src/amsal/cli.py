@@ -73,6 +73,8 @@ def _cmd_erase(args):
     for flag, value in other_method:
         if value is not None:
             raise InvalidInput(f"{flag} does not apply to --method {args.method}")
+    if args.method == "sal" and not args.records:
+        raise InvalidInput("--method sal requires --records")
     x = aio.load_matrix(args.x)
     if args.rank is not None:
         _check_rank(args.rank, x.shape[1], name="--rank")

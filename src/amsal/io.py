@@ -523,14 +523,11 @@ class PipelineConfig:
 
 
 def guarded_records(z, n, priors, slack):
-    """Records z with count bounds for n inputs from per-record priors
+    """Records z with count bounds for n inputs from one prior per record
     (uniform when none are given)."""
     m = len(z)
     if priors is None or len(priors) == 0:
         priors = np.full(m, 1.0 / m)
-    priors = np.asarray(priors, dtype=np.float64)
-    if priors.size != m:
-        raise InvalidInput(f"{priors.size} priors for {m} records")
     lower, upper = bounds_from_priors(priors, n, slack)
     return GuardedRecords(z, lower, upper)
 
@@ -540,7 +537,10 @@ def load_align_inputs(cfg):
     map or None), read and checked from the files cfg names."""
     x = load_matrix(cfg.x)
     n = x.shape[0]
-    records = guarded_records(load_matrix(cfg.records), n, cfg.priors, cfg.slack)
+    z = load_matrix(cfg.records)
+    if cfg.priors and len(cfg.priors) != len(z):
+        raise InvalidInput(f"{cfg.records}: {len(cfg.priors)} priors for {len(z)} records")
+    records = guarded_records(z, n, cfg.priors, cfg.slack)
     truth = load_assignment(cfg.truth, n, records.m) if cfg.truth else None
     seed_labels = load_seed_labels(cfg.seed_labels, n, records.m) if cfg.seed_labels else None
     amsal_cfg = AmsalConfig(max_iterations=cfg.max_iterations, num_seeds=cfg.num_seeds,
@@ -594,7 +594,8 @@ def evaluate(task, y_true, y_pred, groups, alignment_accuracy=None):
         )
     return EvalReport(
         mae=mae(y_true, y_pred),
-        mae_gap=mae_gap(np.abs(y_true - y_pred), groups),
+        # mae_gap takes dense ids 0..k-1; a map can leave a record empty
+        mae_gap=mae_gap(np.abs(y_true - y_pred), np.unique(groups, return_inverse=True)[1]),
         alignment_accuracy=alignment_accuracy,
     )
 

@@ -76,12 +76,15 @@ def test_align_and_erase_cli(tmp_path, capsys):
 def test_erase_sal_requires_records(tmp_path, capsys):
     out = _synth(tmp_path, n=60, seed=2)
     save_assignment(load_assignment(out / "truth.csv"), tmp_path / "pi.csv")
-    rc = main([
-        "erase", "--x", str(out / "x.bin"), "--assignment", str(tmp_path / "pi.csv"),
-        "--method", "sal", "--out", str(tmp_path / "e"),
-    ])
-    assert rc == 2
-    assert "error: InvalidInput" in capsys.readouterr().err
+    # a missing x file shows that the flag is refused before any file is loaded
+    for x in (tmp_path / "missing.bin", out / "x.bin"):
+        rc = main([
+            "erase", "--x", str(x), "--assignment", str(tmp_path / "pi.csv"),
+            "--method", "sal", "--out", str(tmp_path / "e"),
+        ])
+        assert rc == 2
+        assert "error: InvalidInput: --method sal requires --records" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 def test_eval_cli_classification(tmp_path, capsys):
@@ -247,7 +250,19 @@ def test_align_prior_count_mismatch_is_located(tmp_path, capsys):
         "--priors", "0.5", "0.3", "0.2", "--out", str(tmp_path / "a"),
     ])
     assert rc == 2
-    assert "3 priors for 2 records" in capsys.readouterr().err
+    assert f"{out / 'z_records.bin'}: 3 priors for 2 records" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
+def test_pipeline_prior_count_mismatch_names_the_records_file_before_any_output(tmp_path,
+                                                                               capsys):
+    out = _synth(tmp_path, n=60, seed=4)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"x = {out / 'x.bin'}\nrecords = {out / 'z_records.bin'}\n"
+                   f"priors = 0.3,0.3,0.4\noutput_dir = {tmp_path / 'run'}\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert f"{out / 'z_records.bin'}: 3 priors for 2 records" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_regression_short_predictions_exit_2(tmp_path, capsys):
@@ -260,6 +275,33 @@ def test_eval_regression_short_predictions_exit_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "3 gold values, 2 predictions and 3 groups" in capsys.readouterr().err
+
+
+def test_eval_regression_scores_sparse_group_ids_like_dense_ones(tmp_path, capsys):
+    (tmp_path / "yt.csv").write_text("0.5\n1.5\n2.5\n")
+    (tmp_path / "yp.csv").write_text("0.5\n1.0\n2.0\n")
+    reports = []
+    for ids in ("0\n1\n1\n", "0\n2\n2\n"):
+        (tmp_path / "z.csv").write_text(ids)
+        assert main(["eval", "--task", "regression", "--y-true", str(tmp_path / "yt.csv"),
+                     "--y-pred", str(tmp_path / "yp.csv"), "--z", str(tmp_path / "z.csv")]) == 0
+        reports.append(capsys.readouterr().out)
+    assert "mae_gap" in reports[0] and reports[1] == reports[0]
+
+
+def test_pipeline_regression_with_an_empty_record_writes_its_report(tmp_path, capsys):
+    rng = np.random.default_rng(35)
+    save_matrix(rng.standard_normal((20, 3)), tmp_path / "x.bin")
+    save_matrix(rng.standard_normal((3, 2)), tmp_path / "z.bin")
+    (tmp_path / "y.csv").write_text("".join(f"{v!r}\n" for v in rng.standard_normal(20).tolist()))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"x = {tmp_path / 'x.bin'}\nrecords = {tmp_path / 'z.bin'}\n"
+                   f"y = {tmp_path / 'y.csv'}\ny_kind = regression\n"
+                   f"priors = 0.48,0.04,0.48\nslack = 0.5\noutput_dir = {tmp_path / 'run'}\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    pi = load_assignment(tmp_path / "run" / "assignment.csv")
+    assert np.bincount(pi.map, minlength=3)[1] == 0  # the groups are records 0 and 2
+    assert "mae_gap = " in (tmp_path / "run" / "report.txt").read_text()
 
 
 def test_pipeline_y_length_mismatch_exit_2(tmp_path, capsys):
@@ -498,7 +540,8 @@ def test_pipeline_removal_rank_of_d_exits_2_before_any_output(tmp_path, capsys):
 
 
 def _stage_refusal(tmp_path, case):
-    """argv and expected message of a refusal inside the align or erase stage."""
+    """argv and expected message of a refusal inside the align stage, or of
+    an erase flag refused before the stage."""
     if case == "align-overflow":
         rng = np.random.default_rng(5)
         save_matrix(1e200 * rng.standard_normal((40, 4)), tmp_path / "x.bin")
@@ -511,7 +554,7 @@ def _stage_refusal(tmp_path, case):
     if case == "erase-rank":
         return (argv + ["--records", str(data / "z_records.bin"), "--rank", "8"],
                 "error: InvalidInput: cannot remove --rank=8 of d=8 directions")
-    return argv, "error: InvalidInput: sal removal requires the guarded records"
+    return argv, "error: InvalidInput: --method sal requires --records"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -525,7 +568,7 @@ def test_stage_refusal_exits_2_and_leaves_no_output_directory(tmp_path, capsys, 
 
 
 def test_stage_refusal_keeps_an_output_directory_it_did_not_create(tmp_path, capsys):
-    argv, message = _stage_refusal(tmp_path, "erase-no-records")
+    argv, message = _stage_refusal(tmp_path, "align-overflow")
     (tmp_path / "out").mkdir()
     assert main(argv + ["--out", str(tmp_path / "out" / "run")]) == 2
     assert message in capsys.readouterr().err

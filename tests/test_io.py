@@ -20,7 +20,9 @@ from amsal import (
 from amsal.io import (
     BIN,
     CSV,
+    SAL,
     PipelineConfig,
+    erase,
     load_assignment,
     load_eraser,
     load_labels,
@@ -580,3 +582,11 @@ def test_unwritable_output_is_located(tmp_path):
     for write in writers:
         with pytest.raises(InvalidInput, match=re.escape(f"{taken}: Is a directory")):
             write()
+
+
+def test_erase_stage_refuses_sal_without_records_and_removes_its_output(tmp_path):
+    x = np.random.default_rng(3).standard_normal((20, 4))
+    pi = Assignment(np.arange(20) % 2)
+    with pytest.raises(InvalidInput, match="sal removal requires the guarded records"):
+        erase(x, pi, SAL, tmp_path / "out" / "run", BIN)
+    assert not (tmp_path / "out").exists()
