@@ -169,6 +169,14 @@ def _to_grid(v, amax):
     return (v / amax) * _SCALE
 
 
+def _grid_prices(prices, amax):
+    """Float prices in score units as int64 prices on the cost grid of
+    max|s| = amax > 0, clipped to +-2^40 there; any start is valid, so
+    the clip bounds only the start's quality."""
+    lim = 2.0**8 * amax
+    return np.rint(_to_grid(np.clip(prices, -lim, lim), amax)).astype(np.int64)
+
+
 def _integer_costs(s, amax=None):
     """Round scores to int64 on the 2^32 / max|s| grid (exactly zero stays
     zero); amax is max|s| where the caller has it already."""
@@ -206,10 +214,7 @@ def solve_assignment(s, records, prices=None):
             raise InvalidInput(f"start prices must be {m} finite numbers, one per record, "
                                "in a writeable float64 array")
         if amax > 0.0:
-            # +-2^40 on the cost grid; any start is valid, so the clip
-            # bounds only the start's quality
-            lim = 2.0**8 * amax
-            phi[:] = [round(_to_grid(min(max(p, -lim), lim), amax)) for p in prices.tolist()]
+            phi = _grid_prices(prices, amax)
     lower, upper = records.lower_bounds, records.upper_bounds
     pi, phi = _price_start(c, lower.tolist(), upper.tolist(), phi)
     counts = np.bincount(pi, minlength=m)

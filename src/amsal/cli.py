@@ -3,24 +3,23 @@
 Subcommands: synth (emit a planted dataset), align (recover an
 assignment), erase (fit and apply a removal operator), eval (score
 predictions) and pipeline (align -> erase -> eval from a config file).
-The CLI is a thin shell: align, erase and eval turn their arguments
-into calls of the stage functions in amsal.io that the pipeline also
-uses, so every result is reproducible through library calls alone.
+The CLI is a thin shell: align, erase and eval call the stage functions
+that the pipeline also uses, then write their files once every stage is
+done, so every result is reproducible through library calls alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import io as aio
 from .assignment import PRIOR_SLACK
-from .driver import AmsalConfig, alignment_accuracy
+from .driver import AmsalConfig, alignment_accuracy, run_amsal
 from .errors import AmsalError, InvalidInput
-from .removal import INLP_ROUNDS, _check_rank
+from .removal import INLP_ROUNDS, _check_rank, apply_eraser
 from .synthetic import LatentSpec, as_records, generate_latent
 
 
@@ -58,7 +57,9 @@ def _cmd_align(args):
                              max_iterations=args.iterations, num_seeds=args.seeds,
                              rng_seed=args.rng_seed, score_k=args.k, seed_labels=args.labels)
     x, records, amsal_cfg, truth = aio.load_align_inputs(cfg)
-    result = aio.align(x, records, amsal_cfg, args.out, truth)
+    with aio._stage_output(args.out) as out:
+        result = run_amsal(x, records, amsal_cfg, truth=truth)
+        aio.save_alignment(result, out)
     print(f"objective = {result.objective!r} (seed {result.seed})")
     if truth is not None:
         print(f"alignment_accuracy = {alignment_accuracy(result.assignment, truth)!r}")
@@ -82,9 +83,11 @@ def _cmd_erase(args):
     records = (aio.guarded_records(aio.load_matrix(args.records), x.shape[0], None, PRIOR_SLACK)
                if args.records else None)
     pi = aio.load_assignment(args.assignment, x.shape[0], records.m if records else None)
-    aio.erase(x, pi, args.method, args.out, args.format, records=records, rank=args.rank,
-              max_rounds=args.max_rounds)
-    print(f"erased matrix written to {Path(args.out) / f'x_erased.{args.format}'}")
+    with aio._stage_output(args.out) as out:
+        eraser = aio.erase(x, pi, args.method, records=records, rank=args.rank,
+                           max_rounds=args.max_rounds)
+        aio.save_erasure(eraser, apply_eraser(eraser, x), out, args.format)
+    print(f"erased matrix written to {out / f'x_erased.{args.format}'}")
     return 0
 
 

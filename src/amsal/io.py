@@ -1,11 +1,11 @@
 """On-disk formats and the align -> erase -> evaluate stages.
 
-Each stage has one implementation, shared by the CLI subcommands and
-`run_pipeline`: `load_align_inputs` reads x, the count-bounded records,
-the `AmsalConfig` and the truth map or None from a `PipelineConfig`,
-`align` runs the search and writes assignment.csv and trace.csv, `erase`
-fits and applies a SAL or INLP eraser and writes eraser.bin and
-x_erased.<fmt>, and `evaluate` scores predictions.
+Stages compute and commands write. `load_align_inputs` reads x, the
+count-bounded records, the `AmsalConfig` and the truth map or None from
+a `PipelineConfig`; `driver.run_amsal` aligns, `erase` fits a SAL or INLP
+eraser and `evaluate` scores, and none of them writes. Each command (CLI
+or `run_pipeline`) computes every artifact, then writes them all through
+`save_alignment`, `save_erasure` and `save_report` in one guarded block.
 
 Two matrix formats: CSV for interchange (shortest round-trip float
 printing, optional header row) and a raw binary format for speed and
@@ -97,10 +97,10 @@ def output_dir(path):
 
 @contextmanager
 def _stage_output(path):
-    """A stage's output directory path, created up front so that an
-    unusable path fails before the stage runs. If the stage raises an
-    AmsalError before writing a file, the directories this call created
-    are removed again, so a refusal leaves nothing behind."""
+    """A command's output directory path, created up front so that an
+    unusable path fails before any stage runs. The command writes its files
+    last; if it raises an AmsalError, the directories this call created are
+    removed again while they hold no file, so a refusal leaves nothing."""
     path = Path(path)
     created = [d for d in (path, *path.parents) if not os.path.exists(d)]  # deepest first
     out = output_dir(path)
@@ -380,6 +380,18 @@ def save_report(report, path):
         fh.write(format_report(report))
 
 
+def save_alignment(result, out):
+    """Write an AmsalResult's assignment.csv and trace.csv under directory out."""
+    save_assignment(result.assignment, out / "assignment.csv")
+    save_trace(result.trace, out / "trace.csv")
+
+
+def save_erasure(eraser, erased, out, fmt):
+    """Write eraser.bin and the erased matrix as x_erased.<fmt> under directory out."""
+    save_eraser(eraser, out / "eraser.bin")
+    save_matrix(erased, out / f"x_erased.{fmt}", fmt=fmt)
+
+
 def _score_k(text):
     return text if text == "full" else int(text)
 
@@ -548,33 +560,14 @@ def load_align_inputs(cfg):
     return x, records, amsal_cfg, truth
 
 
-def align(x, records, cfg, out, truth=None):
-    """run_amsal, then write assignment.csv and trace.csv under out (created
-    first, so an unusable out fails before the search, and removed again
-    if the search refuses)."""
-    with _stage_output(out) as out:
-        result = run_amsal(x, records, cfg, truth=truth)
-        save_assignment(result.assignment, out / "assignment.csv")
-        save_trace(result.trace, out / "trace.csv")
-    return result
-
-
-def erase(x, pi, method, out, fmt, records=None, rank=None, max_rounds=None):
+def erase(x, pi, method, records=None, rank=None, max_rounds=None):
     """Fit a SAL (uses records and rank, "auto" if None) or INLP (uses
-    max_rounds, INLP_ROUNDS if None) eraser under the map pi, apply it to
-    x, and write eraser.bin and x_erased.<fmt> under out (created first,
-    and removed again if the fit refuses); returns the erased matrix."""
-    with _stage_output(out) as out:
-        if method == SAL:
-            if records is None:
-                raise InvalidInput("sal removal requires the guarded records")
-            eraser = fit_sal(x, records, pi, "auto" if rank is None else rank)
-        else:
-            eraser = fit_inlp(x, pi.map, INLP_ROUNDS if max_rounds is None else max_rounds)
-        erased = apply_eraser(eraser, x)
-        save_eraser(eraser, out / "eraser.bin")
-        save_matrix(erased, out / f"x_erased.{fmt}", fmt=fmt)
-    return erased
+    max_rounds, INLP_ROUNDS if None) eraser under the map pi; returns it."""
+    if method == SAL:
+        if records is None:
+            raise InvalidInput("sal removal requires the guarded records")
+        return fit_sal(x, records, pi, "auto" if rank is None else rank)
+    return fit_inlp(x, pi.map, INLP_ROUNDS if max_rounds is None else max_rounds)
 
 
 def evaluate(task, y_true, y_pred, groups, alignment_accuracy=None):
@@ -603,13 +596,14 @@ def evaluate(task, y_true, y_pred, groups, alignment_accuracy=None):
 def run_pipeline(cfg):
     """align -> erase -> eval in one deterministic pass.
 
-    Reads every input file, then writes assignment.csv, eraser.bin,
-    x_erased.bin, trace.csv and report.txt under cfg.output_dir and
-    returns the EvalReport. All randomness flows from cfg.rng_seed, so
-    reruns are byte identical. The task predictions are in-sample: for
-    classification, the ridge softmax probe of `fit_logistic_probe`
-    (standardized features, trained to a gradient tolerance) on the
-    erased inputs; for regression, least squares with an intercept.
+    Reads every input file, runs every stage, and only then writes
+    assignment.csv, trace.csv, eraser.bin, x_erased.bin and report.txt
+    under cfg.output_dir; returns the EvalReport. All randomness flows
+    from cfg.rng_seed, so reruns are byte identical. The task predictions
+    are in-sample: for classification, the ridge softmax probe of
+    `fit_logistic_probe` (standardized features, trained to a gradient
+    tolerance) on the erased inputs; for regression, least squares with
+    an intercept.
     """
     x, records, amsal_cfg, truth = load_align_inputs(cfg)
     if cfg.removal_rank is not None:
@@ -622,21 +616,24 @@ def run_pipeline(cfg):
             classes, y = np.unique(y, return_inverse=True)
             if classes.size < 2:
                 raise InvalidInput(f"{cfg.y}: every label is {classes[0]}; need 2 classes or more")
-    result = align(x, records, amsal_cfg, cfg.output_dir, truth)
-    erased = erase(x, result.assignment, cfg.removal, cfg.output_dir, BIN, records=records,
-                   rank=cfg.removal_rank, max_rounds=cfg.inlp_rounds)
-
-    align_acc = alignment_accuracy(result.assignment, truth) if truth is not None else None
-    report = EvalReport(alignment_accuracy=align_acc)
-    if cfg.y_kind != "none":
-        if cfg.y_kind == "classification":
-            w, b = fit_logistic_probe(erased, y, classes.size)
-            y_pred = (erased @ w.T + b).argmax(axis=1)
-        else:
-            design = np.hstack([erased, np.ones((len(x), 1))])
-            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-            y_pred = design @ coef
-        groups = truth.map if truth is not None else result.assignment.map
-        report = evaluate(cfg.y_kind, y, y_pred, groups, align_acc)
-    save_report(report, Path(cfg.output_dir) / "report.txt")
+    with _stage_output(cfg.output_dir) as out:
+        result = run_amsal(x, records, amsal_cfg, truth=truth)
+        eraser = erase(x, result.assignment, cfg.removal, records=records,
+                       rank=cfg.removal_rank, max_rounds=cfg.inlp_rounds)
+        erased = apply_eraser(eraser, x)
+        align_acc = alignment_accuracy(result.assignment, truth) if truth is not None else None
+        report = EvalReport(alignment_accuracy=align_acc)
+        if cfg.y_kind != "none":
+            if cfg.y_kind == "classification":
+                w, b = fit_logistic_probe(erased, y, classes.size)
+                y_pred = (erased @ w.T + b).argmax(axis=1)
+            else:
+                design = np.hstack([erased, np.ones((len(x), 1))])
+                coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+                y_pred = design @ coef
+            groups = truth.map if truth is not None else result.assignment.map
+            report = evaluate(cfg.y_kind, y, y_pred, groups, align_acc)
+        save_alignment(result, out)
+        save_erasure(eraser, erased, out, BIN)
+        save_report(report, out / "report.txt")
     return report

@@ -108,6 +108,10 @@ def fit_sal(x, records, pi, r="auto"):
     x_c, means = center_columns(x)
     _check_cross_scale(x_c, records.z)
     omega = cross_covariance(x_c, records.z, pi)
+    used = np.unique(getattr(pi, "map", pi)).size
+    if used < 2:  # centered x against one record row: omega is rounding noise
+        raise InvalidInput(f"spectral removal needs inputs in at least 2 records; "
+                           f"the map uses {used}")
     u_full, sigma, _ = np.linalg.svd(omega, full_matrices=True)
     if r == "auto":
         rank = _rank(sigma)

@@ -285,6 +285,39 @@ def test_repair_duals_certify_its_map(instance):
 
 
 @st.composite
+def _grid_price_cases(draw):
+    """amax (subnormal, huge, a power of two or any) and finite prices:
+    multiples of amax inside and beyond the +-2^8 amax clip, the clip
+    limits themselves, half-way points of the cost grid, and any float."""
+    tiny, huge = 5e-324, float(np.finfo(np.float64).max)
+    amax = draw(st.one_of(st.sampled_from([tiny, 2 * tiny, 1e-310, huge, 1.0]),
+                          st.integers(-1074, 1023).map(lambda e: 2.0**e),
+                          st.floats(1e-300, 1e300)))
+    lim = 2.0**8 * amax
+    price = st.one_of(
+        st.floats(-300.0, 300.0).map(lambda u: u * amax),
+        st.sampled_from([lim, -lim, np.nextafter(lim, 0), -np.nextafter(lim, np.inf)]),
+        st.integers(-2**41, 2**41).map(lambda k: (k + 0.5) * (amax / 2**32)),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    prices = draw(st.lists(price, min_size=1, max_size=8))
+    assume(all(np.isfinite(prices)))
+    return np.array(prices, dtype=np.float64), amax
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_price_cases())
+def test_grid_prices_match_the_scalar_formula(case):
+    prices, amax = case
+    to_grid, lim = amsal.assignment._to_grid, 2.0**8 * amax
+    expected = [round(to_grid(min(max(p, -lim), lim), amax)) for p in prices.tolist()]
+    phi = amsal.assignment._grid_prices(prices, amax)
+    assert phi.dtype == np.int64
+    assert phi.tolist() == expected
+    assert np.abs(phi).max() <= 2**40
+
+
+@st.composite
 def _length_graphs(draw):
     """Non-negative int64 arc lengths on up to 9 nodes, with many ties and
     many _FAR entries (no arc), and masks of source and stop nodes."""

@@ -573,3 +573,29 @@ def test_stage_refusal_keeps_an_output_directory_it_did_not_create(tmp_path, cap
     assert main(argv + ["--out", str(tmp_path / "out" / "run")]) == 2
     assert message in capsys.readouterr().err
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def _one_record_pipeline(tmp_path, removal):
+    """A config whose align stage succeeds but puts every input in record 0
+    (priors 1 and 0, no slack), so its erase stage refuses."""
+    rng = np.random.default_rng(5)
+    save_matrix(rng.standard_normal((30, 4)), tmp_path / "x.bin")
+    save_matrix(rng.standard_normal((2, 3)), tmp_path / "z.bin")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"x = {tmp_path / 'x.bin'}\nrecords = {tmp_path / 'z.bin'}\n"
+                   f"output_dir = {tmp_path / 'out' / 'run'}\npriors = 1.0,0.0\nslack = 0\n"
+                   f"removal = {removal}\n")
+    return ["pipeline", "--config", str(cfg)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("removal, message", [
+    ("inlp", "nullspace removal needs at least 2 classes"),
+    ("sal", "spectral removal needs inputs in at least 2 records; the map uses 1"),
+])
+def test_pipeline_erase_refusal_leaves_no_output(tmp_path, capsys, removal, message):
+    # align has finished when erase refuses: nothing it computed is written either
+    assert main(_one_record_pipeline(tmp_path, removal)) == 2
+    err = capsys.readouterr().err
+    assert f"error: InvalidInput: {message}\n" == err
+    assert not (tmp_path / "out").exists()

@@ -67,6 +67,18 @@ def test_sal_auto_rank_on_zero_covariance():
     fit_sal(x, records, pi, 1)
 
 
+@pytest.mark.parametrize("record, r", [(0, "auto"), (1, "auto"), (0, 1)])
+def test_sal_refuses_a_map_onto_one_record(record, r):
+    # the centered inputs sum to zero, so one record row leaves a cross-covariance of rounding noise
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((30, 4))
+    records = _free_records(rng.standard_normal((2, 3)), 30)
+    pi = Assignment(np.full(30, record))
+    with pytest.raises(InvalidInput, match="^spectral removal needs inputs in at least 2 records; "
+                                           "the map uses 1$"):
+        fit_sal(x, records, pi, r)
+
+
 def test_sal_rank_validation():
     rng = np.random.default_rng(1)
     x, records, pi = _random_instance(rng)
