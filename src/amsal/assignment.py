@@ -35,10 +35,11 @@ against a slack node whose potential absorbs the bound slack.
    how it was reached: at the optimal duals the zero-length arcs are the
    tight edges along which inputs may move to smaller records. An input
    in record a is tight at b exactly when it attains W[a, b] on a
-   zero-length arc a -> b, and it can move only when b reaches a, which
-   puts a and b in one strongly connected component of those arcs
-   (Tarjan, 1972); the refine searches only such inputs. Any start prices
-   lead to the same result; better ones only leave less to repair.
+   zero-length arc a -> b, and it can move only when b reaches a along
+   those arcs, which one boolean closure of them (`_reach`; Warshall,
+   1962) tells for every pair; the refine searches only such inputs. Any
+   start prices lead to the same result; better ones only leave less to
+   repair.
 
 Scores are scaled to integers (2^32 / max|s|) before solving; all
 optimality reasoning below is exact int64 arithmetic on those costs,
@@ -150,9 +151,10 @@ def _scores(x, z, u, v, k):
 
 
 def assignment_objective(s, pi):
-    """sum_i s[i, pi(i)] for a given score matrix and map."""
+    """sum_i s[i, pi(i)] for a given score matrix and map; InvalidInput
+    names the first row the map lacks or holds out of range."""
     s = as_matrix(s, "s")
-    return _objective(s, np.asarray(pi.map if hasattr(pi, "map") else pi))
+    return _objective(s, _as_index_map(pi, *s.shape))
 
 
 def _objective(s, pi):
@@ -509,12 +511,12 @@ def _lex_refine(c, pi, phi, lower, upper, W, witness):
     The ties are read off the same graph. i sits at a tight edge, so it
     is tight at b exactly when its gain c[i, b] - c[i, a] equals phi[b] -
     phi[a]; no gain out of a exceeds that, so then a -> b has length 0
-    and i attains W[a, b] on it. And b reaching a puts a and b in one
-    strongly connected component of the whole zero-length graph
-    (`_components`, labelled again after each move; Tarjan, 1972). So
-    only the inputs that attain W[a, b] on a zero-length arc a -> b with
-    b < a inside one component are searched, which skips most searches
-    and changes no result.
+    and i attains W[a, b] on it. Each input's search graph is part of the
+    whole zero-length graph, so b must reach a there, which its closure
+    (`_reach`, taken again after each move) shows for every pair. So only
+    the inputs that attain W[a, b] on a zero-length arc a -> b with b < a
+    where b reaches a are searched, which skips most searches and changes
+    no result.
     """
     m = c.shape[1]
     p = np.append(phi, 0)
@@ -522,8 +524,7 @@ def _lex_refine(c, pi, phi, lower, upper, W, witness):
     fixed = -1  # the inputs up to here are fixed
     while True:
         zero = _lengths(W, witness, p, np.bincount(pi, minlength=m), lower, upper) == 0
-        label = _components(zero)[:m]
-        ties = zero[:m, :m] & (label == label[:, None]) & (nodes[:m] < nodes[:m, None])
+        ties = zero[:m, :m] & _reach(zero)[:m, :m].T & (nodes[:m] < nodes[:m, None])
         later = fixed + 1 + np.flatnonzero(ties.any(axis=1)[pi[fixed + 1:]])
         at = pi[later]
         hits = ties[at] & (c[later] - c[later, at, None] == W[at])
@@ -545,48 +546,16 @@ def _lex_refine(c, pi, phi, lower, upper, W, witness):
             return pi
 
 
-def _components(arcs):
-    """Strongly connected component labels of the graph whose arcs are
-    the True entries of the square boolean matrix arcs: Tarjan's
-    algorithm (1972), iterative, O(nodes + arcs)."""
-    k = arcs.shape[0]
-    out = [[] for _ in range(k)]
-    us, vs = np.nonzero(arcs)
-    for u, v in zip(us.tolist(), vs.tolist()):
-        out[u].append(v)
-    order = [-1] * k  # visit order, -1 before the visit
-    low = [0] * k
-    label = [-1] * k  # -1 while a node is on the stack or unvisited
-    stack, count, labels = [], 0, 0  # labels: the components closed so far
-    for root in range(k):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        work = [(root, iter(out[root]))]
-        while work:
-            u, arcs_u = work[-1]
-            v = next(arcs_u, None)
-            if v is None:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[u])
-                if low[u] == order[u]:
-                    while True:
-                        w = stack.pop()
-                        label[w] = labels
-                        if w == u:
-                            break
-                    labels += 1
-            elif order[v] < 0:
-                order[v] = low[v] = count
-                count += 1
-                stack.append(v)
-                work.append((v, iter(out[v])))
-            elif label[v] < 0:
-                low[u] = min(low[u], order[v])
-    return np.array(label)
+def _reach(arcs):
+    """The reflexive transitive closure of the graph whose arcs are the
+    True entries of the square boolean matrix arcs: reach[u, v] exactly
+    when v is u or a path leads from u to v (Warshall, 1962). A node
+    without both an arc in and an arc out is inside no path, so only the
+    others are taken as intermediates."""
+    reach = arcs | np.eye(arcs.shape[0], dtype=bool)
+    for v in np.flatnonzero(arcs.any(axis=0) & arcs.any(axis=1)).tolist():
+        reach |= reach[:, v, None] & reach[v]
+    return reach
 
 
 PRIOR_SLACK = 0.2  # default fractional slack around the prior counts

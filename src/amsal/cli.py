@@ -19,7 +19,7 @@ from . import io as aio
 from .assignment import PRIOR_SLACK
 from .driver import AmsalConfig, alignment_accuracy, run_amsal
 from .errors import AmsalError, InvalidInput
-from .removal import INLP_ROUNDS, _check_rank, apply_eraser
+from .removal import INLP_ROUNDS, _check_rank, _check_rounds, apply_eraser
 from .synthetic import LatentSpec, as_records, generate_latent
 
 
@@ -51,11 +51,21 @@ def _cmd_synth(args):
     return 0
 
 
+# the align flag that sets each PipelineConfig key
+_ALIGN_FLAGS = {"x": "--x", "records": "--records", "output_dir": "--out", "priors": "--priors",
+                "slack": "--slack", "max_iterations": "--iterations", "num_seeds": "--seeds",
+                "rng_seed": "--rng-seed", "score_k": "--k", "seed_labels": "--labels",
+                "truth": "--truth"}
+
+
 def _cmd_align(args):
-    cfg = aio.PipelineConfig(x=args.x, records=args.records, output_dir=args.out,
-                             priors=tuple(args.priors), slack=args.slack, truth=args.truth,
-                             max_iterations=args.iterations, num_seeds=args.seeds,
-                             rng_seed=args.rng_seed, score_k=args.k, seed_labels=args.labels)
+    try:
+        cfg = aio.PipelineConfig(x=args.x, records=args.records, output_dir=args.out,
+                                 priors=tuple(args.priors), slack=args.slack, truth=args.truth,
+                                 max_iterations=args.iterations, num_seeds=args.seeds,
+                                 rng_seed=args.rng_seed, score_k=args.k, seed_labels=args.labels)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{_ALIGN_FLAGS[exc.key]}: {exc}") from None
     x, records, amsal_cfg, truth = aio.load_align_inputs(cfg)
     with aio._stage_output(args.out) as out:
         result = run_amsal(x, records, amsal_cfg, truth=truth)
@@ -76,6 +86,8 @@ def _cmd_erase(args):
             raise InvalidInput(f"{flag} does not apply to --method {args.method}")
     if args.method == "sal" and not args.records:
         raise InvalidInput("--method sal requires --records")
+    if args.max_rounds is not None:
+        _check_rounds(args.max_rounds, name="--max-rounds")
     x = aio.load_matrix(args.x)
     if args.rank is not None:
         _check_rank(args.rank, x.shape[1], name="--rank")

@@ -60,6 +60,8 @@ class AmsalConfig:
             raise InvalidInput("num_seeds must be at least 1")
         if self.score_k != "full" and (not isinstance(self.score_k, int) or self.score_k < 1):
             raise InvalidInput("score_k must be a positive count or 'full'")
+        if self.rng_seed < 0:
+            raise InvalidInput(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

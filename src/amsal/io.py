@@ -424,6 +424,7 @@ _CHECKS = {
     "slack": lambda v: bounds_from_priors([1.0], 1, v),
     "max_iterations": lambda v: AmsalConfig(max_iterations=v),
     "num_seeds": lambda v: AmsalConfig(num_seeds=v),
+    "rng_seed": lambda v: AmsalConfig(rng_seed=v),
     "score_k": lambda v: AmsalConfig(score_k=v),
     "removal_rank": lambda v: v is None or _check_rank(v, name="removal_rank"),
     "inlp_rounds": lambda v: v is None or _check_rounds(v, name="inlp_rounds"),

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from unittest import mock
 
@@ -76,6 +77,18 @@ def test_bounds_bind():
     s = np.array([[3.0, 1.0], [4.0, 2.0], [5.0, 1.5], [3.5, 0.5]])
     pi = solve_assignment(s, _records(2, [2, 2], [2, 2]))
     assert np.bincount(pi.map, minlength=2).tolist() == [2, 2]
+
+
+@pytest.mark.parametrize("pi, message", [
+    ([0, 1], "row 2: the map has 2 rows, expected 3"),
+    ([0, 1, 5], "row 2: record id 5 outside [0, 2)"),
+    ([0, 1, -1], "row 2: record id -1 outside [0, 2)"),
+], ids=["short", "id-past-records", "negative-id"])
+def test_assignment_objective_names_the_bad_row_of_its_map(pi, message):
+    s = np.arange(6.0).reshape(3, 2)
+    assert assignment_objective(s, [0, 1, 0]) == 7.0
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        assignment_objective(s, pi)
 
 
 def test_matches_brute_force_random():
@@ -381,14 +394,16 @@ def _boolean_graphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_boolean_graphs())
-def test_components_match_a_brute_force_closure(arcs):
+def test_reach_matches_breadth_first_search(arcs):
     k = arcs.shape[0]
-    reach = arcs | np.eye(k, dtype=bool)
-    for t in range(k):  # Warshall's transitive closure
-        reach |= reach[:, t, None] & reach[t]
-    label = amsal.assignment._components(arcs)
-    assert label.shape == (k,)
-    np.testing.assert_array_equal(label[:, None] == label, reach & reach.T)
+    expected = np.zeros((k, k), dtype=bool)
+    for u in range(k):
+        seen, frontier = {u}, {u}
+        while frontier:
+            frontier = {v for w in frontier for v in np.flatnonzero(arcs[w]).tolist()} - seen
+            seen |= frontier
+        expected[u, sorted(seen)] = True
+    np.testing.assert_array_equal(amsal.assignment._reach(arcs), expected)
 
 
 @st.composite

@@ -406,6 +406,34 @@ def test_erase_inlp_refuses_sal_only_flags(tmp_path, capsys):
     assert main(base + ["--method", "sal", "--records", records]) == 0
 
 
+def test_erase_refuses_negative_max_rounds_before_reading_a_file(tmp_path, capsys):
+    out = _synth(tmp_path, n=60, seed=5)
+    # x is missing, so only a refusal before any file is read names the flag
+    assert main(["erase", "--method", "inlp", "--max-rounds", "-1",
+                 "--x", str(tmp_path / "missing.bin"), "--assignment", str(out / "truth.csv"),
+                 "--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: InvalidInput: --max-rounds must be non-negative, got -1\n"
+    assert not (tmp_path / "e").exists()
+
+
+# test_align_empty_path_exits_2_naming_the_key covers --x, --records and --out
+@pytest.mark.parametrize("flag, values, message", [
+    ("--priors", ["-0.5", "1.5"], "priors must be finite and non-negative"),
+    ("--slack", ["1"], "slack must be in [0, 1), got 1.0"),
+    ("--iterations", ["0"], "max_iterations must be at least 1"),
+    ("--seeds", ["0"], "num_seeds must be at least 1"),
+    ("--rng-seed", ["-1"], "rng_seed must be non-negative, got -1"),
+    ("--k", ["0"], "score_k must be a positive count or 'full'"),
+], ids=["priors", "slack", "iterations", "seeds", "rng-seed", "k"])
+def test_align_refusal_names_the_flag(tmp_path, capsys, flag, values, message):
+    data = _synth(tmp_path, n=60, seed=2)
+    assert main(["align", "--x", str(data / "x.bin"), "--records", str(data / "z_records.bin"),
+                 "--out", str(tmp_path / "out"), flag, *values]) == 2
+    assert capsys.readouterr().err == f"error: InvalidInput: {flag}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("method", ["sal", "inlp"])
 @pytest.mark.parametrize("flag, values", [("--priors", ["0.7", "0.3"]), ("--slack", ["0.3"])])
 def test_erase_refuses_count_bound_flags(tmp_path, capsys, method, flag, values):
@@ -502,7 +530,7 @@ def test_align_empty_path_exits_2_naming_the_key(tmp_path, capsys, flag, key):
              "--out": str(tmp_path / "out"), flag: ""}
     assert main(["align", *(a for item in paths.items() for a in item)]) == 2
     err = capsys.readouterr().err
-    assert f"error: InvalidInput: {key} must name a " in err and "got an empty path" in err
+    assert f"error: InvalidInput: {flag}: {key} must name a " in err and "got an empty path" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -514,8 +542,9 @@ def test_align_empty_path_exits_2_naming_the_key(tmp_path, capsys, flag, key):
     ("score_k = 0\n", "line 4: score_k must be a positive count or 'full'"),
     ("slack = 1.5\n", "line 4: slack must be in [0, 1), got 1.5"),
     ("priors = 0.5,,0.5\n", "line 4: bad field value for 'priors'"),
+    ("rng_seed = -1\n", "line 4: rng_seed must be non-negative, got -1"),
 ], ids=["inlp_rounds", "removal_rank", "num_seeds", "max_iterations", "score_k", "slack",
-        "priors"])
+        "priors", "rng_seed"])
 def test_pipeline_bad_config_value_exits_2_naming_its_line_before_any_output(
         tmp_path, capsys, body, message):
     data = _synth(tmp_path, n=60)
